@@ -58,6 +58,7 @@ from .extreme_point import (
     Moments,
     asymptotic_a,
     construct_distribution,
+    feasible_floor,
     feasible_kurtosis_range,
     oracle_moments,
     samuelson_bound,

@@ -27,15 +27,23 @@ solver tolerance.
 Kurtosis is strictly increasing in the outlier once it clears the base's
 maximum; the search asserts this while expanding its bracket and fails
 loudly if the data disagree.
+
+Each search step costs O(1): the base's central power sums about its mean
+are taken once, and the single outlier is merged in by expanding the
+centred powers about the new mean, in the manner of the one-pass moment
+updates of Pebay, "Formulas for robust, one-pass parallel computation of
+covariances and arbitrary-order statistical moments", SAND2008-6212 (2008).
+The reported statistic and kurtosis come from a direct compensated pass
+over the final dataset, so they do not rest on the update formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from itertools import chain, repeat
+from operator import mul, sub
+from typing import Iterable, Sequence
 
 from .errors import BracketRangeError, DomainError, NonMonotoneError, SearchError
 
@@ -97,8 +105,10 @@ class ComparisonRow:
     uniform: float
 
 
-def generate_base(kind: str, m: int) -> np.ndarray:
-    """Generate the m-point base shape named by kind.
+def generate_base(kind: str, m: int) -> list[float]:
+    """Generate the m-point base shape named by kind, in ascending order.
+
+    The uniform grid is -1 + i*2/(m-1) for i < m - 1, closed by exactly +1.
 
     Raises:
         DomainError: unknown kind or m < 4.
@@ -109,7 +119,7 @@ def generate_base(kind: str, m: int) -> np.ndarray:
         raise DomainError(f"base size must be an integer >= 4, got {m!r}")
     if kind == "bimodal":
         neg = m // 2
-        return np.array([-1.0] * neg + [1.0] * (m - neg))
+        return [-1.0] * neg + [1.0] * (m - neg)
     if kind == "trimodal":
         third, rem = divmod(m, 3)
         neg = pos = zero = third
@@ -118,20 +128,19 @@ def generate_base(kind: str, m: int) -> np.ndarray:
         elif rem == 2:
             neg += 1
             pos += 1
-        return np.array([-1.0] * neg + [0.0] * zero + [1.0] * pos)
+        return [-1.0] * neg + [0.0] * zero + [1.0] * pos
     if kind == "two_thirds":
         ones = round(m / 3)  # m mod 3 is never 1.5, so rounding is exact
-        return np.array([0.0] * (m - ones) + [1.0] * ones)
-    return np.linspace(-1.0, 1.0, m)
+        return [0.0] * (m - ones) + [1.0] * ones
+    step = 2.0 / (m - 1)
+    return [-1.0 + i * step for i in range(m - 1)] + [1.0]
 
 
-def _kurtosis(data: np.ndarray) -> float:
-    mu = data.mean()
-    centred = data - mu
-    m2 = float(np.mean(centred * centred))
-    if m2 <= 0.0:
-        raise DomainError("zero variance while evaluating kurtosis")
-    return float(np.mean(centred**4)) / (m2 * m2)
+def _central_sums(values: Iterable[float], centre: float) -> tuple[float, float, float]:
+    """Compensated sums of (v - centre)**k over values, for k = 2, 3, 4."""
+    dev = list(map(sub, values, repeat(centre)))
+    sq = list(map(mul, dev, dev))
+    return math.fsum(sq), math.fsum(map(mul, sq, dev)), math.fsum(map(mul, sq, sq))
 
 
 def search_outlier_on_points(
@@ -141,6 +150,7 @@ def search_outlier_on_points(
     target_kappa, to within KAPPA_TOL.
 
     Raises:
+        DomainError: fewer than 4 base points, or a base with zero variance.
         BracketRangeError: target unreachable (at or below the kurtosis of
             the base with the outlier resting on its maximum, or above the
             supremum reachable by any finite outlier).
@@ -148,14 +158,32 @@ def search_outlier_on_points(
             expanded (would invalidate the bisection).
         SearchError: bisection stalled before reaching KAPPA_TOL.
     """
-    base = np.asarray(base_points, dtype=float)
-    if base.size < 4:
-        raise DomainError(f"need at least 4 base points, got {base.size}")
+    base = list(map(float, base_points))
+    m = len(base)
+    if m < 4:
+        raise DomainError(f"need at least 4 base points, got {m}")
+    n = m + 1
+    lo = max(base)
+    c = math.fsum(base) / m
+    s2, s3, s4 = _central_sums(base, c)
+    # a constant base rarely has an exact float mean, so s2 alone misses it
+    if lo == min(base) or not s2 > 0.0:
+        raise DomainError("zero variance while evaluating kurtosis")
+    # coefficients of the powers of d = x - c in the merged central sums
+    b2 = m / n
+    a1 = 4.0 * s3 / n
+    a2 = 6.0 * s2 / (n * n)
+    a4 = m * (m * m - m + 1) / n**3
 
     def kappa_at(x: float) -> float:
-        return _kurtosis(np.append(base, x))
+        # central sums of base + [x] about its own mean, from those of the
+        # base about c; the base's first central sum is taken as zero
+        d = x - c
+        d2 = d * d
+        t2 = s2 + b2 * d2
+        t4 = s4 - a1 * d + a2 * d2 + a4 * d2 * d2
+        return n * t4 / (t2 * t2)
 
-    lo = float(base.max())
     k_lo = kappa_at(lo)
     if target_kappa <= k_lo:
         raise BracketRangeError(
@@ -204,13 +232,15 @@ def search_outlier_on_points(
     else:
         raise SearchError("outlier bisection did not converge")
 
-    data = np.append(base, x)
-    mu = data.mean()
-    sigma = math.sqrt(float(np.mean((data - mu) ** 2)))
+    # report from a direct pass over the final dataset, not from the update
+    mu = math.fsum(chain(base, (x,))) / n
+    dev = list(map(sub, chain(base, (x,)), repeat(mu)))
+    sq = list(map(mul, dev, dev))
+    variance = math.fsum(sq) / n
     return OutlierSearchResult(
-        a_statistic=(x - mu) / sigma,
+        a_statistic=(x - mu) / math.sqrt(variance),
         outlier_value=x,
-        achieved_kappa=_kurtosis(data),
+        achieved_kappa=math.fsum(map(mul, sq, sq)) / n / (variance * variance),
     )
 
 

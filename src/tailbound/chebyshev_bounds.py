@@ -34,7 +34,7 @@ from .errors import (
     SearchError,
     ThresholdTooSmallError,
 )
-from .extreme_point import feasible_kurtosis_range, solve_extreme_point
+from .extreme_point import feasible_floor, solve_extreme_point
 
 __all__ = [
     "BoundEvaluation",
@@ -162,27 +162,21 @@ def bhattacharyya_bound(t: float, theta3: float, kappa: float) -> BoundEvaluatio
 def min_n_for_bhattacharyya_validity(kappa: float, n_cap: int = 10**7) -> int:
     """Smallest sample size whose extreme-point threshold admits the bound.
 
-    Scans integers n >= 5 for the first n where kappa is feasible and the
+    Scans integers n from the feasibility floor for the first n where the
     validity condition a**2 - a*theta3 - 1 > 0 holds at t = a(n, kappa).
     The condition equals zero exactly when kappa sits at the upper
     feasibility endpoint and is strictly positive inside the feasible range,
     so in practice this returns the feasibility floor in n.
 
     Raises:
-        DomainError: kappa <= 1.
+        DomainError: kappa not a finite number above 1.
         SearchError: no admissible n up to n_cap.
     """
-    if not kappa > 1.0:
-        raise DomainError(f"kurtosis must exceed 1, got {kappa!r}")
-    # smallest n with kappa <= kappa_max(n): quadratic in n
-    s = kappa + 3.0
-    n = max(5, math.ceil(0.5 * (s + math.sqrt(s * s - 4.0 * s))))
+    n = feasible_floor(kappa)
     while n <= n_cap:
-        rng = feasible_kurtosis_range(n)
-        if kappa in rng:
-            sol = solve_extreme_point(n, kappa)
-            if sol.a * sol.a - sol.a * sol.theta3 - 1.0 > 0.0:
-                return n
+        sol = solve_extreme_point(n, kappa)
+        if sol.a * sol.a - sol.a * sol.theta3 - 1.0 > 0.0:
+            return n
         n += 1
     raise SearchError(
         f"no sample size up to {n_cap} admits the Bhattacharyya bound at kappa={kappa!r}"

@@ -34,7 +34,6 @@ from .errors import (
     BoundValidityError,
     DegenerateDataError,
     DomainError,
-    InfeasibleKurtosisError,
     SearchError,
     TableLookupError,
     TailboundError,
@@ -377,9 +376,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"tailbound: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InfeasibleKurtosisError as exc:
-        print(f"tailbound: infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (DegenerateDataError, TableLookupError, DomainError, SearchError) as exc:
         print(f"tailbound: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -53,6 +53,7 @@ __all__ = [
     "ExtremePointSolution",
     "Moments",
     "feasible_kurtosis_range",
+    "feasible_floor",
     "solve_extreme_point",
     "asymptotic_a",
     "samuelson_bound",
@@ -128,6 +129,29 @@ def feasible_kurtosis_range(n: float) -> KurtosisRange:
         kappa_min=n / (n - 1),
         kappa_max=(n * n - 3 * n + 3) / (n - 1),
     )
+
+
+def feasible_floor(kappa: float) -> int:
+    """Smallest integer n >= 5 whose feasible kurtosis range contains kappa.
+
+    Feasibility in n is an up-set, so every larger n is feasible too.
+
+    Raises:
+        DomainError: kappa not a finite number above 1.
+    """
+    if not 1.0 < kappa < math.inf:
+        raise DomainError(f"kurtosis must be a finite number above 1, got {kappa!r}")
+    # smallest n with kappa <= kappa_max(n): quadratic in n
+    s = kappa + 3.0
+    n = max(5, math.ceil(0.5 * (s + math.sqrt(s * s - 4.0 * s))))
+    if kappa <= 1.25:  # lower endpoint n/(n-1) binds instead
+        n = max(n, math.floor(kappa / (kappa - 1.0)) + 1)
+    # feasibility in n is an up-set, so correct the ceil in both directions
+    while kappa not in feasible_kurtosis_range(n):
+        n += 1
+    while n > 5 and kappa in feasible_kurtosis_range(n - 1):
+        n -= 1
+    return n
 
 
 def solve_extreme_point(n: float, kappa: float) -> ExtremePointSolution:

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 from .distributions import blr_tail_factor
 from .errors import DegenerateDataError, DomainError
 from .extreme_point import (
+    feasible_floor,
     feasible_kurtosis_range,
     oracle_moments,
     samuelson_bound,
@@ -65,20 +66,6 @@ def required_tail_factor(history_n: float, kappa: float) -> float:
     return solve_extreme_point(history_n, kappa).a
 
 
-def _feasible_floor(kappa: float) -> int:
-    """Smallest integer n >= 5 whose feasible kurtosis range contains kappa."""
-    s = kappa + 3.0
-    n = max(5, math.ceil(0.5 * (s + math.sqrt(s * s - 4.0 * s))))
-    if kappa <= 1.25:  # lower endpoint n/(n-1) binds instead
-        n = max(n, math.floor(kappa / (kappa - 1.0)) + 1)
-    # feasibility in n is an up-set, so correct the ceil in both directions
-    while kappa not in feasible_kurtosis_range(n):
-        n += 1
-    while n > 5 and kappa in feasible_kurtosis_range(n - 1):
-        n -= 1
-    return n
-
-
 def max_safe_history(
     tail_factor: float, kappa: float, ceiling: int = DEFAULT_HISTORY_CEILING
 ) -> int | None:
@@ -91,13 +78,11 @@ def max_safe_history(
     the ceiling) and 0 when even the smallest feasible history violates.
 
     Raises:
-        DomainError: tail_factor <= 0 or kappa <= 1.
+        DomainError: tail_factor <= 0, or kappa not a finite number above 1.
     """
     if not tail_factor > 0.0:
         raise DomainError(f"tail factor must be positive, got {tail_factor!r}")
-    if not kappa > 1.0:
-        raise DomainError(f"kurtosis must exceed 1, got {kappa!r}")
-    lo = _feasible_floor(kappa)
+    lo = feasible_floor(kappa)
     if lo > ceiling:
         raise DomainError(
             f"no feasible history length at or below the ceiling {ceiling}"

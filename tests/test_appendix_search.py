@@ -1,9 +1,12 @@
 """Base-shape generation and the grafted-outlier kurtosis search."""
 
 import math
+import subprocess
+import sys
 
-import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tailbound import (
     KAPPA_TOL,
@@ -22,7 +25,7 @@ import goldens
 
 
 def shape_kurtosis(kind, m):
-    return oracle_moments(generate_base(kind, m).tolist()).kurtosis
+    return oracle_moments(generate_base(kind, m)).kurtosis
 
 
 # ---------------------------------------------------------------------------
@@ -46,29 +49,29 @@ def test_uniform_kurtosis_approaches_limit_from_below():
 def test_base_shapes_have_documented_sizes_and_values():
     for kind in ("bimodal", "trimodal", "two_thirds", "uniform"):
         pts = generate_base(kind, 601)
-        assert pts.shape == (601,)
-        assert pts.min() >= -1.0 and pts.max() == 1.0
+        assert len(pts) == 601
+        assert min(pts) >= -1.0 and max(pts) == 1.0
 
 
 def test_remainder_rules_are_fixed():
     bim = generate_base("bimodal", 7)
-    assert (np.sum(bim == -1.0), np.sum(bim == 1.0)) == (3, 4)
+    assert (bim.count(-1.0), bim.count(1.0)) == (3, 4)
 
     tri1 = generate_base("trimodal", 7)  # leftover of one goes to the centre
-    assert (np.sum(tri1 == -1.0), np.sum(tri1 == 0.0), np.sum(tri1 == 1.0)) == (2, 3, 2)
+    assert (tri1.count(-1.0), tri1.count(0.0), tri1.count(1.0)) == (2, 3, 2)
 
     tri2 = generate_base("trimodal", 8)  # leftover pair goes to the outer modes
-    assert (np.sum(tri2 == -1.0), np.sum(tri2 == 0.0), np.sum(tri2 == 1.0)) == (3, 2, 3)
+    assert (tri2.count(-1.0), tri2.count(0.0), tri2.count(1.0)) == (3, 2, 3)
 
     tt = generate_base("two_thirds", 7)
-    assert (np.sum(tt == 0.0), np.sum(tt == 1.0)) == (5, 2)
+    assert (tt.count(0.0), tt.count(1.0)) == (5, 2)
     tt = generate_base("two_thirds", 8)
-    assert (np.sum(tt == 0.0), np.sum(tt == 1.0)) == (5, 3)
+    assert (tt.count(0.0), tt.count(1.0)) == (5, 3)
 
 
 def test_generate_base_is_deterministic():
     for kind in ("bimodal", "trimodal", "two_thirds", "uniform"):
-        assert np.array_equal(generate_base(kind, 137), generate_base(kind, 137))
+        assert generate_base(kind, 137) == generate_base(kind, 137)
 
 
 def test_generate_base_rejections():
@@ -123,7 +126,7 @@ def test_search_is_affine_invariant():
     base = generate_base("uniform", 200)
     reference = search_outlier_on_points(base, 9.0).a_statistic
     for scale, shift in ((2.5, -7.0), (0.003, 123.0), (1e4, 0.0)):
-        moved = search_outlier_on_points(scale * base + shift, 9.0).a_statistic
+        moved = search_outlier_on_points([scale * v + shift for v in base], 9.0).a_statistic
         assert moved == pytest.approx(reference, abs=1e-8)
 
 
@@ -145,6 +148,72 @@ def test_search_input_validation():
         search_outlier("bimodal", 4, 5.0)
     with pytest.raises(DomainError):
         search_outlier_on_points([0.0, 1.0, 2.0], 5.0)
+    for value in (0.0, 0.1, -3.7, 1e6):  # constant bases: zero variance
+        with pytest.raises(DomainError):
+            search_outlier_on_points([value] * 7, 5.0)
+
+
+def _direct_kurtosis(base, x):
+    return oracle_moments(base + [x]).kurtosis
+
+
+def _bracket_dips(base, target):
+    """Whether the direct kurtosis falls between two bracket points the
+    search visits on its way up to target (it then raises NonMonotoneError)."""
+    lo = max(base)
+    span = max(abs(lo), 1.0)
+    k_prev = _direct_kurtosis(base, lo)
+    while True:
+        k = _direct_kurtosis(base, lo + span)
+        if k < k_prev:
+            return True
+        if k >= target:
+            return False
+        k_prev, span = k, 2.0 * span
+
+
+@settings(max_examples=150)
+@given(
+    points=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=300),
+    scale=st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1e4)),
+    shift=st.one_of(st.just(0.0), st.floats(min_value=-1e6, max_value=1e6)),
+    frac=st.floats(min_value=0.01, max_value=0.99),
+)
+def test_search_agrees_with_direct_moments(points, scale, shift, frac):
+    # the search steps on a one-point moment update; the dataset it returns
+    # must hit the target when its kurtosis is summed directly
+    assume(max(points) - min(points) >= 1e-3)
+    base = [scale * v + shift for v in points]
+    # below this spread one ulp of the outlier moves the kurtosis by more
+    # than KAPPA_TOL, and the search rightly stops with SearchError
+    assume(max(base) - min(base) >= 1e-3 * max(map(abs, base)))
+    m = len(base)
+    k_start = _direct_kurtosis(base, max(base))
+    k_sup = (m * m - m + 1) / m  # limit as the outlier grows without bound
+    target = k_start + frac * (k_sup - k_start)
+    assume(target - k_start > 1e-6)
+    # kurtosis need not rise from the maximum of an arbitrary base
+    assume(not _bracket_dips(base, target))
+    res = search_outlier_on_points(base, target)
+    direct = _direct_kurtosis(base, res.outlier_value)
+    assert abs(direct - target) < KAPPA_TOL
+    assert res.achieved_kappa == pytest.approx(direct, abs=1e-12)
+
+
+def test_import_and_appendix_leave_numpy_unloaded():
+    script = (
+        "import runpy, sys\n"
+        "import tailbound\n"
+        "assert 'numpy' not in sys.modules, 'import tailbound loaded numpy'\n"
+        "sys.argv = ['tailbound', 'appendix', '--n', '500']\n"
+        "try:\n"
+        "    runpy.run_module('tailbound', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    assert 'numpy' not in sys.modules, 'tailbound appendix loaded numpy'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "outlier deviation by base shape" in proc.stdout
 
 
 # ---------------------------------------------------------------------------
