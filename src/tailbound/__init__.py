@@ -34,8 +34,10 @@ from .distributions import (
     blr_tail_factor,
     g_from_mean_reversion_label,
     normal_cdf,
+    normal_isf,
     normal_quantile,
     student_t_cdf,
+    student_t_isf,
     student_t_kurtosis,
     student_t_quantile,
 )

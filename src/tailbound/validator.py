@@ -66,22 +66,56 @@ def required_tail_factor(history_n: float, kappa: float) -> float:
     return solve_extreme_point(history_n, kappa).a
 
 
+def _check_tail_factor(tail_factor: float) -> None:
+    if not 0.0 < tail_factor < math.inf:
+        raise DomainError(f"tail factor must be a finite positive number, got {tail_factor!r}")
+
+
+def _crossing(tail_factor: float, kappa: float) -> float:
+    """Real n at which a(n, kappa) = tail_factor, in floats.
+
+    With m = n - 1 and A = tail_factor**2, the quadratic (*) of
+    :mod:`tailbound.extreme_point` solved for n is the cubic
+
+        (kappa-1)*m**3 - (A-1)**2*m**2 - 4*A*m + 4*A**2 = 0,
+
+    and the crossing is its largest root.  Divided by kappa - 1 it reads
+    m**3 - P*m**2 - Q*m + S.  At the root m*(m - P) = Q - S/m < Q, so
+    P + Q/P lies above it; for a root m >= 4 the cubic is convex from the
+    root on, so Newton steps from there descend to it monotonically and
+    stop when rounding no longer lets them descend.
+    """
+    big_a = tail_factor * tail_factor
+    p = (big_a - 1.0) ** 2 / (kappa - 1.0)
+    q = 4.0 * big_a / (kappa - 1.0)
+    s = big_a * q
+    m = p + q / p
+    while True:
+        m_next = m - (((m - p) * m - q) * m + s) / ((3.0 * m - 2.0 * p) * m - q)
+        if not m_next < m:
+            return m + 1.0
+        m = m_next
+
+
 def max_safe_history(
     tail_factor: float, kappa: float, ceiling: int = DEFAULT_HISTORY_CEILING
 ) -> int | None:
     """Largest history length n whose bound still fits under tail_factor.
 
-    The extreme deviation a(n, kappa) grows with n, so the answer is found
-    by integer bisection between the feasibility floor and the ceiling.
+    The extreme deviation a(n, kappa) grows with n.  Inverting its closed
+    form (a cubic in n) gives the real crossing; its floor, checked against
+    a(n) at the neighbours, is the answer -- the integer an integer
+    bisection between the feasibility floor and the ceiling would return.
+    That takes four evaluations of a(n), the two endpoint checks included.
 
     Returns None when a(ceiling, kappa) <= tail_factor (no violation below
     the ceiling) and 0 when even the smallest feasible history violates.
 
     Raises:
-        DomainError: tail_factor <= 0, or kappa not a finite number above 1.
+        DomainError: tail_factor not a finite positive number, or kappa not
+            a finite number above 1.
     """
-    if not tail_factor > 0.0:
-        raise DomainError(f"tail factor must be positive, got {tail_factor!r}")
+    _check_tail_factor(tail_factor)
     lo = feasible_floor(kappa)
     if lo > ceiling:
         raise DomainError(
@@ -91,25 +125,27 @@ def max_safe_history(
         return 0
     if required_tail_factor(ceiling, kappa) <= tail_factor:
         return None
-    hi = ceiling  # invariant: a(lo) <= tail_factor < a(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if required_tail_factor(mid, kappa) <= tail_factor:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # invariant: a(lo) <= tail_factor < a(ceiling); the float crossing lands
+    # within a step of the integer one, so the walks below are short
+    n = min(max(lo, math.floor(_crossing(tail_factor, kappa))), ceiling - 1)
+    if required_tail_factor(n, kappa) <= tail_factor:
+        while n + 1 < ceiling and required_tail_factor(n + 1, kappa) <= tail_factor:
+            n += 1
+    else:
+        n -= 1
+        while n > lo and required_tail_factor(n, kappa) > tail_factor:
+            n -= 1
+    return n
 
 
 def validate_model(tail_factor: float, history_n: int, kappa: float) -> ModelVerdict:
     """Check a quoted tail factor against the bound for its own history.
 
     Raises:
-        DomainError: non-positive tail factor, history below 5.
+        DomainError: tail factor not finite and positive, history below 5.
         InfeasibleKurtosisError: kappa infeasible at history_n.
     """
-    if not tail_factor > 0.0:
-        raise DomainError(f"tail factor must be positive, got {tail_factor!r}")
+    _check_tail_factor(tail_factor)
     required = required_tail_factor(history_n, kappa)
     margin = tail_factor - required
     return ModelVerdict(
@@ -198,13 +234,12 @@ def empirical_validate(
     fallback and the verdict is flagged kurtosis_infeasible.
 
     Raises:
-        DomainError: non-positive tail factor.
+        DomainError: tail factor not finite and positive.
         DegenerateDataError: fewer than 5 observations or zero variance.
     """
     if not isinstance(series, ReturnSeries):
         series = ReturnSeries.from_values(series)
-    if not tail_factor > 0.0:
-        raise DomainError(f"tail factor must be positive, got {tail_factor!r}")
+    _check_tail_factor(tail_factor)
 
     rng = feasible_kurtosis_range(series.n)
     infeasible = series.kurtosis not in rng

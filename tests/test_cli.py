@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from tailbound import construct_distribution, solve_extreme_point
+from tailbound import cli, construct_distribution, solve_extreme_point
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_schema.json")
@@ -172,6 +172,35 @@ def test_tail_factor_horizon_below_two_is_infeasible(run_cli):
     res = run_cli("tail-factor", "--model", "normal", "--horizon", 1)
     assert res.returncode == 3
     assert "infeasible" in res.stderr
+
+
+@pytest.mark.parametrize("model", [["normal"], ["student-t", "--dof", "3"]])
+def test_tail_factor_deep_horizon_is_finite(model, capsys):
+    # the level 1 - 1/horizon rounds to 1.0; the tail mass does not
+    code = cli.main(["tail-factor", "--model", *model, "--horizon", "1e200",
+                     "--format", "json"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    row = dict(zip(doc["columns"], doc["rows"][0]))
+    assert row["probability"] == 1.0
+    assert math.isfinite(row["tail_factor"]) and row["tail_factor"] > 30.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["tail-factor", "--model", "normal", "--horizon", "inf"],
+    ["tail-factor", "--model", "student-t", "--dof", "3", "--horizon", "inf"],
+    ["validate", "--tail-factor", "inf", "--history", "500", "--kurtosis", "7",
+     "--format", "json"],
+    ["validate", "--tail-factor", "nan", "--history", "500", "--kurtosis", "7"],
+])
+def test_non_finite_inputs_exit_3_with_no_output(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "infeasible" in err
 
 
 # ---------------------------------------------------------------------------

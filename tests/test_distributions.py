@@ -11,6 +11,7 @@ from tailbound import (
     BLR_TAIL_FACTORS,
     BlrParameters,
     DomainError,
+    SearchError,
     TableLookupError,
     TailFactorQuery,
     blr_h_from_kurtosis,
@@ -18,11 +19,14 @@ from tailbound import (
     blr_tail_factor,
     g_from_mean_reversion_label,
     normal_cdf,
+    normal_isf,
     normal_quantile,
     student_t_cdf,
+    student_t_isf,
     student_t_kurtosis,
     student_t_quantile,
 )
+from tailbound import distributions
 
 import goldens
 
@@ -144,6 +148,93 @@ def test_student_t_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
+# upper-tail entry points against scipy, over the whole CLI horizon range
+# ---------------------------------------------------------------------------
+
+
+def _t_sf(dof):
+    # scipy's t.sf forms x**2 and returns 0 beyond x ~ 1.3e154, which dof 1
+    # reaches below q ~ 2e-155; the Cauchy law is the same distribution
+    if dof == 1:
+        return scipy.stats.cauchy.sf
+    return lambda x: scipy.stats.t.sf(x, dof)
+
+
+log_horizons = st.floats(min_value=math.log(2.0), max_value=math.log(1e300))
+
+
+def _check_isf(x, q, sf, isf, tol):
+    assert math.isfinite(x) and x >= 0.0
+    round_trip = sf(x) / q - 1.0
+    assert abs(round_trip) <= tol
+    # scipy's own isf is wrong in places (dof 3, q <= 1e-190); only where
+    # its round trip holds is it a second oracle
+    ref = isf(q)
+    if math.isfinite(ref) and abs(sf(ref) / q - 1.0) <= 1e-12:
+        assert x == pytest.approx(ref, rel=tol)
+
+
+@given(log_horizons)
+def test_normal_isf_matches_scipy(log_h):
+    q = 1.0 / max(2.0, math.exp(log_h))
+    _check_isf(normal_isf(q), q, scipy.stats.norm.sf, scipy.stats.norm.isf, 1e-11)
+
+
+@given(log_horizons, st.floats(min_value=0.0, max_value=math.log(1e5)))
+def test_student_t_isf_matches_scipy(log_h, log_dof):
+    q = 1.0 / max(2.0, math.exp(log_h))
+    dof = round(math.exp(log_dof))
+    # 1e-11 through dof 1000; beyond, lgamma cancellation in the
+    # incomplete-beta front factor costs accuracy, hence 1e-9
+    tol = 1e-11 if dof <= 1000 else 1e-9
+    _check_isf(student_t_isf(q, dof), q, _t_sf(dof), lambda q: scipy.stats.t.isf(q, dof), tol)
+
+
+@pytest.mark.parametrize(
+    "q, dof",
+    [(q, 1) for q in (1e-200, 1e-250, 1e-300)]
+    + [(1e-300, dof) for dof in range(2, 11)],
+)
+def test_student_t_isf_deep_tail_is_finite(q, dof):
+    # the density underflows here, which used to divide by zero
+    x = student_t_isf(q, dof)
+    assert math.isfinite(x)
+    assert _t_sf(dof)(x) / q == pytest.approx(1.0, rel=1e-11)
+
+
+def test_isf_symmetry_and_centre():
+    assert student_t_isf(0.5, 7) == 0.0
+    assert normal_isf(0.5) == 0.0
+    for q in (0.3, 1e-3, 1e-12):
+        assert normal_isf(1.0 - q) == -normal_isf(1.0 - (1.0 - q))
+        assert student_t_isf(1.0 - q, 5) == -student_t_isf(1.0 - (1.0 - q), 5)
+        assert normal_quantile(q) == -normal_isf(q)
+        assert student_t_quantile(q, 5) == -student_t_isf(q, 5)
+
+
+def test_isf_rejects_bad_tail_mass():
+    for q in (0.0, 1.0, -0.1, 1.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            normal_isf(q)
+        with pytest.raises(DomainError):
+            student_t_isf(q, 5)
+    with pytest.raises(DomainError):
+        student_t_isf(0.1, 0)
+
+
+def test_student_t_isf_raises_when_newton_is_capped(monkeypatch):
+    monkeypatch.setattr(distributions, "_hill_start", lambda q, dof: 1e6)
+    monkeypatch.setattr(distributions, "_NEWTON_CAP", 2)
+    with pytest.raises(SearchError):
+        student_t_isf(1e-6, 5)
+
+
+def test_incomplete_beta_failure_is_typed():
+    with pytest.raises(SearchError):
+        distributions._betacf(1e8, 1e8, 0.5)
+
+
+# ---------------------------------------------------------------------------
 # Student-t kurtosis
 # ---------------------------------------------------------------------------
 
@@ -171,7 +262,7 @@ def test_student_t_kurtosis_rejects_low_dof():
 def test_query_probability_level():
     q = TailFactorQuery(horizon_n=250, model="normal")
     assert q.probability == pytest.approx(0.996, abs=1e-12)
-    assert q.tail_factor() == pytest.approx(normal_quantile(0.996), abs=0.0)
+    assert q.tail_factor() == pytest.approx(normal_isf(1 / 250), abs=0.0)
 
 
 def test_query_dispatch_student_t():
@@ -188,6 +279,21 @@ def test_query_validation():
         TailFactorQuery(horizon_n=250, model="normal", dof=5)
     with pytest.raises(DomainError):
         TailFactorQuery(horizon_n=250, model="cauchy")
+    with pytest.raises(DomainError):
+        TailFactorQuery(horizon_n=math.inf, model="normal")  # tail mass 0
+    with pytest.raises(DomainError):
+        TailFactorQuery(horizon_n=math.nan, model="normal")
+
+
+def test_query_deep_horizon_keeps_its_digits():
+    # 1 - 1/h rounds to 1.0 here; the tail mass 1/h goes to the solver
+    for model, dof in (("normal", None), ("student-t", 3)):
+        q = TailFactorQuery(horizon_n=1e200, model=model, dof=dof)
+        assert q.probability == 1.0
+        x = q.tail_factor()
+        assert math.isfinite(x)
+        ref = scipy.stats.norm if dof is None else scipy.stats.t(dof)
+        assert ref.sf(x) * 1e200 == pytest.approx(1.0, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Model verdicts, safe-history bisection, empirical validation."""
+"""Model verdicts, safe-history search, empirical validation."""
 
 import math
 import random
@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tailbound import (
+    DEFAULT_HISTORY_CEILING,
     DegenerateDataError,
     DomainError,
     InfeasibleKurtosisError,
@@ -15,12 +16,14 @@ from tailbound import (
     TableLookupError,
     construct_distribution,
     empirical_validate,
+    feasible_floor,
     feasible_kurtosis_range,
     max_safe_history,
     required_tail_factor,
     solve_extreme_point,
     validate_blr,
     validate_model,
+    validator,
 )
 
 import goldens
@@ -72,18 +75,66 @@ def test_max_safe_history_rejects_bad_inputs():
         max_safe_history(5.0, 0.9)
 
 
+def _bisection_reference(tail, kappa, ceiling):
+    """Integer bisection on a(n, kappa) between the floor and the ceiling."""
+    lo = feasible_floor(kappa)
+    if lo > ceiling:
+        return "infeasible"
+    if required_tail_factor(lo, kappa) > tail:
+        return 0
+    if required_tail_factor(ceiling, kappa) <= tail:
+        return None
+    hi = ceiling
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if required_tail_factor(mid, kappa) <= tail:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @given(
-    st.floats(min_value=3.0, max_value=60.0),
-    st.floats(min_value=1.5, max_value=16.0),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=math.log10(1.01), max_value=3.0),
+    st.sampled_from([300, 10**7, DEFAULT_HISTORY_CEILING]),
 )
-def test_max_safe_history_bisection_property(tail, kappa):
-    n = max_safe_history(tail, kappa, ceiling=10**7)
-    assume(n is not None and n > 0)
-    assert required_tail_factor(n, kappa) <= tail
-    assert (
-        kappa not in feasible_kurtosis_range(n + 1)
-        or required_tail_factor(n + 1, kappa) > tail
-    )
+def test_max_safe_history_bisection_property(log_tail, log_kappa, ceiling):
+    tail, kappa = 10.0**log_tail, 10.0**log_kappa
+    want = _bisection_reference(tail, kappa, ceiling)
+    if want == "infeasible":
+        with pytest.raises(DomainError):
+            max_safe_history(tail, kappa, ceiling=ceiling)
+        return
+
+    solves = []
+
+    def counted(n, k):
+        solves.append(n)
+        return solve_extreme_point(n, k)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(validator, "solve_extreme_point", counted)
+        n = max_safe_history(tail, kappa, ceiling=ceiling)
+    assert n == want
+    if n is None:
+        assert required_tail_factor(ceiling, kappa) <= tail
+    elif n == 0:
+        assert required_tail_factor(feasible_floor(kappa), kappa) > tail
+    else:
+        # the two endpoint checks, then the crossing and its neighbour
+        assert len(solves) <= 5
+        assert required_tail_factor(n, kappa) <= tail < required_tail_factor(n + 1, kappa)
+
+
+def test_max_safe_history_rejects_non_finite_tail_factor():
+    for tail in (math.inf, math.nan, -math.inf):
+        with pytest.raises(DomainError):
+            max_safe_history(tail, 7.0)
+        with pytest.raises(DomainError):
+            validate_model(tail, 500, 7.0)
+        with pytest.raises(DomainError):
+            empirical_validate(construct_distribution(101, 7.0), tail)
 
 
 def test_breach_horizons_for_published_six_month_factors():
