@@ -43,9 +43,10 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BracketRangeError, DomainError, NonMonotoneError, SearchError
+from .extreme_point import _central_sums
 
 __all__ = [
     "BaseShape",
@@ -134,13 +135,6 @@ def generate_base(kind: str, m: int) -> list[float]:
         return [0.0] * (m - ones) + [1.0] * ones
     step = 2.0 / (m - 1)
     return [-1.0 + i * step for i in range(m - 1)] + [1.0]
-
-
-def _central_sums(values: Iterable[float], centre: float) -> tuple[float, float, float]:
-    """Compensated sums of (v - centre)**k over values, for k = 2, 3, 4."""
-    dev = list(map(sub, values, repeat(centre)))
-    sq = list(map(mul, dev, dev))
-    return math.fsum(sq), math.fsum(map(mul, sq, dev)), math.fsum(map(mul, sq, sq))
 
 
 def search_outlier_on_points(

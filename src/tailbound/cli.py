@@ -17,8 +17,9 @@ Each subcommand accepts --format {csv,json,markdown}, --output FILE and
 docs/output_schema.json.
 
 CSV input for `empirical`: UTF-8; an optional header line (detected by a
-non-numeric first field); then one observation per line, either `value` or
-`date,value`; plain decimal-point numbers; blank lines are skipped.
+non-numeric last field, the value); then one observation per line, either
+`value` or `date,value`; plain decimal-point numbers; blank lines are
+skipped.
 """
 
 from __future__ import annotations
@@ -71,6 +72,19 @@ def _precision(text: str) -> int:
     return value
 
 
+def _int(text: str) -> int:
+    """An int that converts to a float, as every count here is used as one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    try:
+        float(value)
+    except OverflowError:
+        raise argparse.ArgumentTypeError("integer too large to convert to float") from None
+    return value
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="markdown",
                    help="output format (default: markdown)")
@@ -87,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("shock-table", help="extreme-deviation grid a(n, kappa)")
-    p.add_argument("--n", type=int, nargs="+", default=SHOCK_TABLE_N,
+    p.add_argument("--n", type=_int, nargs="+", default=SHOCK_TABLE_N,
                    help="history lengths (rows)")
     p.add_argument("--kurtosis", type=float, nargs="+", default=DEFAULT_KAPPAS,
                    help="kurtosis values (columns)")
@@ -96,14 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="moment-bound grid")
     p.add_argument("--method", required=True,
                    choices=["even-moment", "zelen", "bhattacharyya"])
-    p.add_argument("--n", type=int, nargs="+", default=None,
+    p.add_argument("--n", type=_int, nargs="+", default=None,
                    help="sample sizes (rows; default depends on method)")
     p.add_argument("--kurtosis", type=float, nargs="+", default=DEFAULT_KAPPAS)
     _add_output_flags(p)
 
     p = sub.add_parser("tail-factor", help="once-in-n model quantile")
     p.add_argument("--model", required=True, choices=["normal", "student-t"])
-    p.add_argument("--dof", type=int, default=None,
+    p.add_argument("--dof", type=_int, default=None,
                    help="degrees of freedom (student-t only)")
     p.add_argument("--horizon", type=float, required=True, metavar="N",
                    help="exceedance horizon n; quantile level is 1 - 1/n")
@@ -117,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-inv", default=None, metavar="LABEL",
                    help="BLR mean-reversion time label, e.g. 6m")
     p.add_argument("--kurtosis", type=float, required=True)
-    p.add_argument("--history", type=int, required=True, metavar="N")
-    p.add_argument("--days-per-year", type=int, default=250,
+    p.add_argument("--history", type=_int, required=True, metavar="N")
+    p.add_argument("--days-per-year", type=_int, default=250,
                    help="business days per year (reporting only; default 250)")
     _add_output_flags(p)
 
@@ -128,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("appendix", help="base-shape comparison table")
-    p.add_argument("--n", type=int, nargs="+", default=APPENDIX_M,
+    p.add_argument("--n", type=_int, nargs="+", default=APPENDIX_M,
                    help="base sizes m (each search uses m + 1 points)")
     p.add_argument("--kappa", type=float, default=16.0,
                    help="target kurtosis (default 16)")
@@ -304,10 +318,23 @@ def read_return_csv(path: str) -> list[float]:
         OSError: unreadable file.
     """
     values: list[float] = []
+    append, isfinite = values.append, math.isfinite
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         first_record_seen = False
         for lineno, fields in enumerate(reader, start=1):
+            if 0 < len(fields) < 3:
+                # float() skips only whitespace that strip() also removes,
+                # so a value it parses is what the full checks below parse
+                try:
+                    value = float(fields[-1])
+                except ValueError:
+                    pass
+                else:
+                    if isfinite(value):
+                        append(value)
+                        first_record_seen = True
+                        continue
             if not fields or all(not f.strip() for f in fields):
                 continue
             fields = [f.strip() for f in fields]

@@ -43,7 +43,10 @@ treats the interval outside (kappa_min, kappa_max] as infeasible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub
 from typing import Iterable, NamedTuple
 
 from .errors import DegenerateDataError, DomainError, InfeasibleKurtosisError
@@ -270,26 +273,58 @@ def construct_distribution(n: int, kappa: float) -> list[float]:
     return [sol.a] + [b - shift] * half + [-b - shift] * half
 
 
-def oracle_moments(data: Iterable[float]) -> Moments:
-    """Brute-force population moments by direct summation.
+def _central_sums(values: Iterable[float], centre: float) -> tuple[float, float, float]:
+    """Compensated sums of (v - centre)**k over values, for k = 2, 3, 4."""
+    dev = list(map(sub, values, repeat(centre)))
+    sq = list(map(mul, dev, dev))
+    return math.fsum(sq), math.fsum(map(mul, sq, dev)), math.fsum(map(mul, sq, sq))
 
-    Deliberately naive: exact compensated sums of centred powers, divisor n
-    throughout, no shortcuts.  This is the reference arithmetic the closed
-    forms are tested against.
+
+def oracle_moments(data: Iterable[float]) -> Moments:
+    """Population moments by direct summation.
+
+    Exact compensated sums of centred powers, divisor n throughout, no
+    shortcuts: the reference arithmetic the closed forms are tested against.
+    The powers are taken as products, on the data scaled by the power of two
+    that brings max |x| into [0.5, 1).  That scaling is exact, so the
+    moments do not depend on the data's magnitude and no sum overflows.
 
     Raises:
-        DomainError: empty input.
+        DomainError: empty or non-finite input, or a variance that does not
+            fit a normal float in data units.
         DegenerateDataError: zero variance (skewness/kurtosis undefined).
     """
-    values = [float(x) for x in data]
+    values = list(map(float, data))
     if not values:
         raise DomainError("cannot compute moments of an empty dataset")
     n = len(values)
-    mean = math.fsum(values) / n
-    variance = math.fsum((x - mean) ** 2 for x in values) / n
+    top = max(max(values), -min(values))
+    if not top < math.inf:
+        raise DomainError(f"cannot compute moments of non-finite data ({top!r})")
+    # 2**-e brings max |x| into [0.5, 1); below 2**-1024 the variance cannot
+    # fit a float anyway, and 2**1023 is the largest factor there is
+    e = max(math.frexp(top)[1], -1023)
+    scale = math.ldexp(1.0, -e)
+    mean = math.fsum(map(mul, values, repeat(scale))) / n
+    if mean != mean:  # a nan that max and min stepped over
+        raise DomainError("cannot compute moments of non-finite data (nan)")
+    s2, s3, s4 = _central_sums(map(mul, values, repeat(scale)), mean)
+    variance = s2 / n
     if variance <= 0.0:
         raise DegenerateDataError("zero variance: higher moments are undefined")
     sd = math.sqrt(variance)
-    skewness = math.fsum((x - mean) ** 3 for x in values) / n / sd**3
-    kurtosis = math.fsum((x - mean) ** 4 for x in values) / n / variance**2
-    return Moments(mean=mean, variance=variance, skewness=skewness, kurtosis=kurtosis)
+    skewness = s3 / n / sd**3
+    kurtosis = s4 / n / variance**2
+    # variance * 4**e lies in [2**(exponent - 1), 2**exponent)
+    exponent = math.frexp(variance)[1] + 2 * e
+    if not sys.float_info.min_exp <= exponent <= sys.float_info.max_exp:
+        raise DomainError(
+            f"the variance of the data, about 2**{exponent}, does not fit a "
+            "normal float; rescale the data"
+        )
+    return Moments(
+        mean=math.ldexp(mean, e),
+        variance=math.ldexp(variance, 2 * e),
+        skewness=skewness,
+        kurtosis=kurtosis,
+    )

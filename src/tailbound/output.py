@@ -1,7 +1,8 @@
 """Tabular output documents with csv/json/markdown renderers.
 
-Rendering applies the requested decimal precision to float cells; the
-document itself always stores full-precision values.  Cells may be numbers,
+Rendering applies the requested decimal precision to float cells, in
+exponent form from magnitude 1e16 on in csv and markdown; the document
+itself always stores full-precision values.  Cells may be numbers,
 strings (e.g. the out-of-domain marker) or None.
 """
 
@@ -67,6 +68,8 @@ class OutputDocument:
         if isinstance(cell, int):
             return str(cell)
         if isinstance(cell, float):
+            if abs(cell) >= 1e16:  # fixed point would print every digit
+                return f"{cell:.{precision}e}"
             return f"{cell:.{precision}f}"
         return str(cell)
 

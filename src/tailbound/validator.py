@@ -185,14 +185,15 @@ class ReturnSeries:
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "ReturnSeries":
-        vals = tuple(float(x) for x in values)
+        vals = tuple(map(float, values))
         if len(vals) < 5:
             raise DegenerateDataError(
                 f"too few observations: need at least 5, got {len(vals)}"
             )
         m = oracle_moments(vals)  # raises DegenerateDataError on zero spread
         sigma = math.sqrt(m.variance)
-        worst = max(abs(x - m.mean) for x in vals) / sigma
+        # rounding is monotone, so this is max |x - mean| to the bit
+        worst = max(max(vals) - m.mean, m.mean - min(vals)) / sigma
         return cls(
             values=vals,
             n=len(vals),

@@ -4,10 +4,13 @@ import csv
 import io
 import json
 import math
+import random
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailbound import cli, construct_distribution, solve_extreme_point
 
@@ -355,6 +358,160 @@ def test_empirical_zero_variance(run_cli, tmp_path):
     path = write_values(tmp_path / "const.csv", [2.0] * 30)
     res = run_cli("empirical", path, "--tail-factor", 5)
     assert res.returncode == 3
+
+
+def _reference_read_return_csv(path: str) -> list[float]:
+    """The reader before its fast path: every record stripped and checked."""
+    values: list[float] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first_record_seen = False
+        for lineno, fields in enumerate(reader, start=1):
+            if not fields or all(not f.strip() for f in fields):
+                continue
+            fields = [f.strip() for f in fields]
+            if len(fields) > 2:
+                raise cli.CsvFormatError(
+                    f"line {lineno}: expected `value` or `date,value`, "
+                    f"got {len(fields)} fields"
+                )
+            if not first_record_seen:
+                first_record_seen = True
+                try:
+                    float(fields[-1])
+                except ValueError:
+                    continue  # header line
+            text = fields[-1]
+            try:
+                value = float(text)
+            except ValueError:
+                raise cli.CsvFormatError(
+                    f"line {lineno}: cannot parse value {text!r}") from None
+            if not math.isfinite(value):
+                raise cli.CsvFormatError(f"line {lineno}: non-finite value {text!r}")
+            values.append(value)
+    return values
+
+
+# \x1c-\x1f are whitespace to str.strip() but not to float()
+_PAD = st.sampled_from(["", "", " ", "\t", "\x0b", "\u00a0", "\u2003", "\u3000", "\x1c"])
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "inf", "-Infinity", "1e400", "-1e400", "oops", "1.2.3",
+                     "1_000", "0x10", "\u0663.\u0665", ""]),
+)
+_VALUE = st.tuples(_PAD, _NUMBER, _PAD).map("".join)
+_ROW = st.one_of(
+    _VALUE,
+    _VALUE.map(lambda v: f"2024-01-02,{v}"),
+    _VALUE.map(lambda v: f' "2024-01-02" ,"{v}"'),
+    _VALUE.map(lambda v: f'"{v}"'),
+    _VALUE.map(lambda v: f"a,b,{v}"),
+    st.sampled_from(["", "   ", "\t \u00a0", " , ", " , , ", ","]),
+)
+_HEADER = st.sampled_from(["", "value", "date,value", " Date , Return ", '"date","value"'])
+_EOL = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _read_outcome(reader, path):
+    try:
+        return reader(path)
+    except cli.CsvFormatError as exc:
+        return ("CsvFormatError", str(exc))
+
+
+@settings(max_examples=400)
+@given(header=_HEADER, rows=st.lists(st.tuples(_ROW, _EOL), max_size=12),
+       last_eol=st.booleans())
+def test_reader_matches_reference(tmp_path_factory, header, rows, last_eol):
+    text = "".join(row + eol for row, eol in [(header, "\n")] + rows)
+    if not last_eol:
+        text = text.rstrip("\r\n")
+    path = tmp_path_factory.getbasetemp() / "reader.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = _read_outcome(_reference_read_return_csv, str(path))
+    got = _read_outcome(cli.read_return_csv, str(path))
+    assert repr(got) == repr(expected)
+
+
+def _gauss_csv(path, scale):
+    rng = random.Random(20191)
+    path.write_text("".join(f"{rng.gauss(0.0, 1.0) * scale!r}\n" for _ in range(1000)),
+                    encoding="utf-8")
+    return str(path)
+
+
+def _empirical_row(argv, capsys):
+    code = cli.main(argv + ["--format", "csv"])
+    out, _ = capsys.readouterr()
+    records = list(csv.reader(io.StringIO(out)))
+    return code, dict(zip(records[0], records[1]))
+
+
+def test_empirical_kurtosis_is_scale_free(tmp_path, capsys):
+    rows = {
+        scale: _empirical_row(["empirical", _gauss_csv(tmp_path / f"{scale}.csv", scale),
+                               "--tail-factor", "5"], capsys)
+        for scale in (1.0, 1e-90, 1e90)
+    }
+    code, row = rows[1.0]
+    assert code in (0, 2)
+    for scale in (1e-90, 1e90):
+        assert rows[scale][0] == code
+        assert rows[scale][1]["kurtosis"] == row["kurtosis"]
+        assert rows[scale][1]["max_abs_dev_sigmas"] == row["max_abs_dev_sigmas"]
+    assert rows[1e90][1]["sigma"].endswith(("e+89", "e+90"))  # exponent form
+
+
+def test_empirical_variance_beyond_float_exits_3(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("1e308\n0.1\n0.2\n0.3\n0.4\n0.5\n", encoding="utf-8")
+    code = cli.main(["empirical", str(path), "--tail-factor", "5"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "does not fit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["shock-table", "--n", str(10**400)],
+    ["bounds", "--method", "zelen", "--n", str(10**400)],
+    ["appendix", "--n", str(10**400)],
+    ["tail-factor", "--model", "student-t", "--horizon", "250", "--dof", str(10**400)],
+    ["validate", "--tail-factor", "5", "--kurtosis", "7", "--history", str(10**400)],
+    ["validate", "--blr", "--g-inv", "6m", "--kurtosis", "7", "--history", "500",
+     "--days-per-year", str(10**400)],
+])
+def test_integer_beyond_float_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    _, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert "too large to convert to float" in err
+
+
+def test_malformed_integer_keeps_argparse_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["shock-table", "--n", "25x"])
+    assert exc.value.code == 1
+    assert "argument --n: invalid int value: '25x'" in capsys.readouterr().err
+
+
+def test_huge_cells_render_in_exponent_form(capsys):
+    code = cli.main(["validate", "--tail-factor", "1e308", "--history", "500",
+                     "--kurtosis", "7", "--format", "csv"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    row = dict(zip(*csv.reader(io.StringIO(out))))
+    assert row["tail_factor"] == "1.000e+308"
+    assert row["margin"] == "1.000e+308"
+    assert row["required_a"] == "7.464"
+
+    code = cli.main(["validate", "--tail-factor", "1e308", "--history", "500",
+                     "--kurtosis", "7", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert dict(zip(doc["columns"], doc["rows"][0]))["tail_factor"] == 1e308
 
 
 # ---------------------------------------------------------------------------

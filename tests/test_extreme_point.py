@@ -1,6 +1,7 @@
 """Extreme-point closed form against the brute-force moment oracle."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from tailbound import (
     DegenerateDataError,
     DomainError,
     InfeasibleKurtosisError,
+    ReturnSeries,
     asymptotic_a,
     construct_distribution,
     feasible_kurtosis_range,
@@ -312,3 +314,49 @@ def test_oracle_rejects_empty_and_constant():
         oracle_moments([])
     with pytest.raises(DegenerateDataError):
         oracle_moments([2.0] * 10)
+
+
+@pytest.mark.parametrize("data", [
+    [1.0, math.inf, 2.0, 3.0, 4.0],
+    [math.nan, 1.0, 2.0, 3.0, 4.0],
+    [1.0, math.nan, 2.0, 3.0, 4.0],  # max and min both step over it
+    [1.0, -math.inf, math.inf, 3.0, 4.0],
+])
+def test_oracle_rejects_non_finite(data):
+    with pytest.raises(DomainError, match="non-finite"):
+        oracle_moments(data)
+
+
+@settings(max_examples=300)
+@given(
+    data=st.lists(
+        st.floats(min_value=-1e3, max_value=1e3).filter(lambda x: x == 0 or abs(x) > 1e-30),
+        min_size=5, max_size=60,
+    ),
+    k=st.integers(-900, 900),
+)
+def test_oracle_moments_are_scale_free(data, k):
+    # scaling by 2**k is exact, so the moments must scale exactly too, or
+    # the variance must be reported as not fitting a float in data units
+    try:
+        base = oracle_moments(data)
+    except DegenerateDataError:
+        assume(False)
+    scaled = [math.ldexp(x, k) for x in data]
+    assume(all(math.ldexp(y, -k) == x for x, y in zip(data, scaled)))
+
+    exponent = math.frexp(base.variance)[1] + 2 * k
+    if not sys.float_info.min_exp <= exponent <= sys.float_info.max_exp:
+        with pytest.raises(DomainError, match="does not fit"):
+            oracle_moments(scaled)
+        return
+    m = oracle_moments(scaled)
+    assert m.skewness == base.skewness
+    assert m.kurtosis == base.kurtosis
+    assert m.mean == math.ldexp(base.mean, k)
+    assert m.variance == math.ldexp(base.variance, 2 * k)
+    assert math.isfinite(m.skewness) and math.isfinite(m.kurtosis)
+
+    if m.mean == 0.0 or abs(m.mean) >= sys.float_info.min:
+        assert (ReturnSeries.from_values(scaled).max_abs_deviation_in_sigmas
+                == ReturnSeries.from_values(data).max_abs_deviation_in_sigmas)

@@ -238,6 +238,16 @@ def test_return_series_statistics():
     )
 
 
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=5, max_size=40))
+def test_return_series_worst_deviation_is_max_abs(data):
+    try:
+        s = ReturnSeries.from_values(data)
+    except DomainError:  # zero spread, or a variance below the float range
+        assume(False)
+    # rounding is monotone, so the extremes give max |x - mean| to the bit
+    assert s.max_abs_deviation_in_sigmas == max(abs(x - s.mean) for x in data) / s.sigma
+
+
 def test_return_series_rejects_degenerate_input():
     with pytest.raises(DegenerateDataError):
         ReturnSeries.from_values([1.0, 2.0, 3.0, 4.0])
