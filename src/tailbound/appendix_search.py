@@ -40,10 +40,9 @@ over the final dataset, so they do not rest on the update formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import mul, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BracketRangeError, DomainError, NonMonotoneError, SearchError
 from .extreme_point import _central_sums
@@ -64,8 +63,7 @@ __all__ = [
 KAPPA_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BaseShape:
+class BaseShape(NamedTuple):
     """A named background shape and its limiting population kurtosis."""
 
     kind: str
@@ -80,8 +78,7 @@ SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class OutlierSearchResult:
+class OutlierSearchResult(NamedTuple):
     """Outcome of tuning one outlier against a base shape.
 
     a_statistic: standardised deviation (x - mean)/sigma of the outlier
@@ -94,8 +91,7 @@ class OutlierSearchResult:
     achieved_kappa: float
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One row of the shape comparison: base size m, total n = m + 1."""
 
     base_m: int

@@ -26,7 +26,7 @@ attain (theta4 - theta3**2 - 1 <= 0, or kappa - theta3**2 - 1 <= 0) raise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -46,24 +46,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundEvaluation:
+class _BoundEvaluationFields(NamedTuple):
+    method: str  # "even_moment" | "zelen" | "bhattacharyya"
+    threshold_t: float
+    probability: float | None
+    valid: bool
+
+
+class BoundEvaluation(_BoundEvaluationFields):
     """Outcome of evaluating one tail inequality at one threshold.
 
     probability is None exactly when valid is False (the grid renderers use
     such instances to mark out-of-domain cells without inventing numbers).
     """
 
-    method: str  # "even_moment" | "zelen" | "bhattacharyya"
-    threshold_t: float
-    probability: float | None
-    valid: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.valid and self.probability is None:
+    def __new__(cls, method: str, threshold_t: float, probability: float | None,
+                valid: bool = True):
+        if valid and probability is None:
             raise DomainError("a valid evaluation must carry a probability")
-        if not self.valid and self.probability is not None:
+        if not valid and probability is not None:
             raise DomainError("an invalid evaluation must not carry a probability")
+        return super().__new__(cls, method, threshold_t, probability, valid)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: keep it checked
+        return cls(*iterable)
 
     @property
     def one_in_n(self) -> float:

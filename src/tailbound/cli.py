@@ -32,8 +32,6 @@ from typing import Sequence
 
 from . import appendix_search, chebyshev_bounds, distributions, validator
 from .errors import (
-    BoundValidityError,
-    DegenerateDataError,
     DomainError,
     SearchError,
     TableLookupError,
@@ -52,7 +50,6 @@ EXIT_INFEASIBLE = 3
 SHOCK_TABLE_N = [250, 500, 1000, 10_000, 100_000, 1_000_000, 833_208]
 DEFAULT_KAPPAS = [7.0, 10.0, 13.0, 16.0]
 EVEN_MOMENT_N = [250, 500, 1000, 10_000, 100_000, 1_000_000]
-ZELEN_N = EVEN_MOMENT_N
 BHATTACHARYYA_N = [10_000, 100_000, 1_000_000, 10_000_000, 100_000_000]
 APPENDIX_M = [500, 1000, 2000, 3000, 4000, 5000, 10_000]
 
@@ -82,6 +79,13 @@ def _int(text: str) -> int:
         float(value)
     except OverflowError:
         raise argparse.ArgumentTypeError("integer too large to convert to float") from None
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
@@ -132,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="BLR mean-reversion time label, e.g. 6m")
     p.add_argument("--kurtosis", type=float, required=True)
     p.add_argument("--history", type=_int, required=True, metavar="N")
-    p.add_argument("--days-per-year", type=_int, default=250,
+    p.add_argument("--days-per-year", type=_positive_int, default=250,
                    help="business days per year (reporting only; default 250)")
     _add_output_flags(p)
 
@@ -178,7 +182,7 @@ def build_shock_table(n_list: Sequence[int], kappa_list: Sequence[float]) -> Out
 def build_bounds_table(method: str, n_list: Sequence[int] | None,
                        kappa_list: Sequence[float]) -> OutputDocument:
     if n_list is None:
-        n_list = {"even-moment": EVEN_MOMENT_N, "zelen": ZELEN_N,
+        n_list = {"even-moment": EVEN_MOMENT_N, "zelen": EVEN_MOMENT_N,
                   "bhattacharyya": BHATTACHARYYA_N}[method]
 
     def cell(n: int, kappa: float):
@@ -196,7 +200,7 @@ def build_bounds_table(method: str, n_list: Sequence[int] | None,
         for kappa in kappa_list:
             try:
                 row.append(cell(n, kappa))
-            except (DomainError, BoundValidityError):
+            except DomainError:
                 row.append(INFEASIBLE_MARKER)
         rows.append(row)
 
@@ -314,7 +318,8 @@ def read_return_csv(path: str) -> list[float]:
     """Read observations per the CSV contract in the module docstring.
 
     Raises:
-        CsvFormatError: malformed content, with the offending line number.
+        CsvFormatError: malformed content, with the offending line number,
+            or a file that is not UTF-8 text.
         OSError: unreadable file.
     """
     values: list[float] = []
@@ -322,34 +327,39 @@ def read_return_csv(path: str) -> list[float]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         first_record_seen = False
-        for lineno, fields in enumerate(reader, start=1):
-            if 0 < len(fields) < 3:
-                # float() skips only whitespace that strip() also removes,
-                # so a value it parses is what the full checks below parse
-                try:
-                    value = float(fields[-1])
-                except ValueError:
-                    pass
-                else:
-                    if isfinite(value):
-                        append(value)
-                        first_record_seen = True
-                        continue
-            if not fields or all(not f.strip() for f in fields):
-                continue
-            fields = [f.strip() for f in fields]
-            if len(fields) > 2:
-                raise CsvFormatError(
-                    f"line {lineno}: expected `value` or `date,value`, "
-                    f"got {len(fields)} fields"
-                )
-            if not first_record_seen:
-                first_record_seen = True
-                try:
-                    float(fields[-1])
-                except ValueError:
-                    continue  # header line
-            values.append(_parse_number(fields[-1], lineno))
+        try:
+            for lineno, fields in enumerate(reader, start=1):
+                if 0 < len(fields) < 3:
+                    # float() skips only whitespace that strip() also removes,
+                    # so a value it parses is what the full checks below parse
+                    try:
+                        value = float(fields[-1])
+                    except ValueError:
+                        pass
+                    else:
+                        if isfinite(value):
+                            append(value)
+                            first_record_seen = True
+                            continue
+                if not fields or all(not f.strip() for f in fields):
+                    continue
+                fields = [f.strip() for f in fields]
+                if len(fields) > 2:
+                    raise CsvFormatError(
+                        f"line {lineno}: expected `value` or `date,value`, "
+                        f"got {len(fields)} fields"
+                    )
+                if not first_record_seen:
+                    first_record_seen = True
+                    try:
+                        float(fields[-1])
+                    except ValueError:
+                        continue  # header line
+                values.append(_parse_number(fields[-1], lineno))
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
     return values
 
 
@@ -403,7 +413,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"tailbound: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateDataError, TableLookupError, DomainError, SearchError) as exc:
+    except (TableLookupError, DomainError, SearchError) as exc:
         print(f"tailbound: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

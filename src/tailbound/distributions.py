@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import DomainError, SearchError, TableLookupError
 
@@ -338,29 +338,37 @@ def student_t_kurtosis(dof: int, convention: str = "raw") -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailFactorQuery:
+class _TailFactorQueryFields(NamedTuple):
+    horizon_n: float
+    model: str  # "normal" | "student-t"
+    dof: int | None
+
+
+class TailFactorQuery(_TailFactorQueryFields):
     """A once-in-horizon_n tail-factor request against a reference model.
 
     The solvers receive the tail mass 1/horizon_n directly; probability is
     the implied one-sided level 1 - 1/horizon_n, reported only.
     """
 
-    horizon_n: float
-    model: str  # "normal" | "student-t"
-    dof: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 2 <= self.horizon_n < math.inf:
+    def __new__(cls, horizon_n: float, model: str, dof: int | None = None):
+        if not 2 <= horizon_n < math.inf:
             raise DomainError(
-                f"horizon must be a finite number of at least 2, got {self.horizon_n!r}"
+                f"horizon must be a finite number of at least 2, got {horizon_n!r}"
             )
-        if self.model not in ("normal", "student-t"):
-            raise DomainError(f"model must be 'normal' or 'student-t', got {self.model!r}")
-        if self.model == "student-t" and self.dof is None:
+        if model not in ("normal", "student-t"):
+            raise DomainError(f"model must be 'normal' or 'student-t', got {model!r}")
+        if model == "student-t" and dof is None:
             raise DomainError("student-t tail factors need degrees of freedom")
-        if self.model == "normal" and self.dof is not None:
+        if model == "normal" and dof is not None:
             raise DomainError("dof is only meaningful for the student-t model")
+        return super().__new__(cls, horizon_n, model, dof)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: keep it checked
+        return cls(*iterable)
 
     @property
     def probability(self) -> float:
@@ -436,27 +444,36 @@ def g_from_mean_reversion_label(label: str, days_per_year: int = 250) -> float:
     return 1.0 / (months * days_per_year / 12.0)
 
 
-@dataclass(frozen=True)
-class BlrParameters:
+class _BlrParametersFields(NamedTuple):
+    g: float
+    h: float
+    kappa: float
+    rho: float  # volatility/return correlation used by the published grid
+    g_inverse_label: str | None
+
+
+class BlrParameters(_BlrParametersFields):
     """A consistent BLR parameter point (g, h, kappa).
 
     Consistency kappa == 3*exp(h**2/(2g)) is enforced on construction, so
     kappa > 3 exactly when h > 0 and kappa == 3 exactly when h == 0.
     """
 
-    g: float
-    h: float
-    kappa: float
-    rho: float = 0.5  # volatility/return correlation used by the published grid
-    g_inverse_label: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        implied = blr_kurtosis(self.h, self.g)
-        if not math.isclose(implied, self.kappa, rel_tol=1e-9, abs_tol=0.0):
+    def __new__(cls, g: float, h: float, kappa: float, rho: float = 0.5,
+                g_inverse_label: str | None = None):
+        implied = blr_kurtosis(h, g)
+        if not math.isclose(implied, kappa, rel_tol=1e-9, abs_tol=0.0):
             raise DomainError(
-                f"inconsistent BLR parameters: h={self.h!r}, g={self.g!r} imply "
-                f"kurtosis {implied!r}, got {self.kappa!r}"
+                f"inconsistent BLR parameters: h={h!r}, g={g!r} imply "
+                f"kurtosis {implied!r}, got {kappa!r}"
             )
+        return super().__new__(cls, g, h, kappa, rho, g_inverse_label)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: keep it checked
+        return cls(*iterable)
 
     @classmethod
     def from_h(cls, h: float, g: float, **kw) -> "BlrParameters":

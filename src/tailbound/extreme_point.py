@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mul, sub
 from typing import Iterable, NamedTuple
@@ -69,8 +68,7 @@ __all__ = [
 ASYMPTOTIC_FORMS = ("sign-corrected", "printed")
 
 
-@dataclass(frozen=True)
-class KurtosisRange:
+class KurtosisRange(NamedTuple):
     """Feasible kurtosis interval for a sample size: (kappa_min, kappa_max]."""
 
     n: float
@@ -81,8 +79,7 @@ class KurtosisRange:
         return self.kappa_min < kappa <= self.kappa_max
 
 
-@dataclass(frozen=True)
-class ExtremePointSolution:
+class ExtremePointSolution(NamedTuple):
     """Solved extremal configuration for a given (n, kappa).
 
     Attributes:

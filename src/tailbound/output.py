@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass, field
 
 from .errors import DomainError
 
@@ -25,24 +23,23 @@ FORMATS = ("csv", "json", "markdown")
 Cell = float | int | str | None
 
 
-@dataclass
 class OutputDocument:
     """A titled table: column headers, rows, free-form notes."""
 
-    title: str
-    columns: list[str]
-    rows: list[list[Cell]]
-    notes: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        width = len(self.columns)
+    def __init__(self, title: str, columns: list[str], rows: list[list[Cell]],
+                 notes: list[str] | None = None):
+        width = len(columns)
         if width == 0:
             raise DomainError("a document needs at least one column")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if len(row) != width:
                 raise DomainError(
                     f"row {i} has {len(row)} cells, expected {width}"
                 )
+        self.title = title
+        self.columns = columns
+        self.rows = rows
+        self.notes = [] if notes is None else notes
 
     def has_marker(self, marker: str = INFEASIBLE_MARKER) -> bool:
         return any(cell == marker for row in self.rows for cell in row)
@@ -82,6 +79,8 @@ class OutputDocument:
         return buf.getvalue()
 
     def _to_json(self, precision: int) -> str:
+        import json  # only json renders pay for loading it
+
         # key order (title, columns, rows, notes) is part of the contract
         def cell_value(cell: Cell):
             if isinstance(cell, float):

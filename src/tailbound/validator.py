@@ -13,8 +13,7 @@ Population-moment conventions follow :mod:`tailbound.extreme_point`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import blr_tail_factor
 from .errors import DegenerateDataError, DomainError
@@ -42,8 +41,7 @@ __all__ = [
 DEFAULT_HISTORY_CEILING = 10**9
 
 
-@dataclass(frozen=True)
-class ModelVerdict:
+class ModelVerdict(NamedTuple):
     """Outcome of checking a tail factor against the extreme-point bound.
 
     margin = tail_factor - required_a, and passed is exactly margin >= 0.
@@ -168,8 +166,7 @@ def validate_blr(g_inverse_label: str, kappa: float, history_n: int) -> ModelVer
     return validate_model(blr_tail_factor(g_inverse_label, kappa), history_n, kappa)
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
+class ReturnSeries(NamedTuple):
     """Observed return series with its population statistics.
 
     sigma is the population standard deviation (divisor n) and
@@ -204,8 +201,7 @@ class ReturnSeries:
         )
 
 
-@dataclass(frozen=True)
-class EmpiricalVerdict:
+class EmpiricalVerdict(NamedTuple):
     """Verdict for a tail factor judged against an observed series.
 
     historical_breach flags a realised deviation already above the tail

@@ -201,18 +201,25 @@ def test_search_agrees_with_direct_moments(points, scale, shift, frac):
 
 
 def test_import_and_appendix_leave_numpy_unloaded():
+    # dataclasses and inspect cost start-up time on every call; json is
+    # needed by json renders only, and the csv/markdown runs below render
     script = (
         "import runpy, sys\n"
         "import tailbound\n"
-        "assert 'numpy' not in sys.modules, 'import tailbound loaded numpy'\n"
-        "sys.argv = ['tailbound', 'appendix', '--n', '500']\n"
-        "try:\n"
-        "    runpy.run_module('tailbound', run_name='__main__', alter_sys=True)\n"
-        "finally:\n"
-        "    assert 'numpy' not in sys.modules, 'tailbound appendix loaded numpy'\n"
+        "loaded = {'numpy', 'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "assert not loaded, f'import tailbound loaded {loaded}'\n"
+        "for argv in (['shock-table', '--format', 'csv'], ['appendix', '--n', '500']):\n"
+        "    sys.argv = ['tailbound', *argv]\n"
+        "    try:\n"
+        "        runpy.run_module('tailbound', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, f'tailbound {argv[0]} exited {exc.code}'\n"
+        "    loaded = {'numpy', 'dataclasses', 'inspect', 'json'} & set(sys.modules)\n"
+        "    assert not loaded, f'tailbound {argv[0]} loaded {loaded}'\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("N,sqrt(N-1),kurtosis=7,")
     assert "outlier deviation by base shape" in proc.stdout
 
 

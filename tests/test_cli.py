@@ -255,6 +255,17 @@ def test_validate_blr_flag_misuse(run_cli):
     assert "--tail-factor" in res.stderr
 
 
+@pytest.mark.parametrize("days", ["0", "-250"])
+def test_days_per_year_must_be_positive(days, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--blr", "--g-inv", "6m", "--kurtosis", "7",
+                  "--history", "500", "--days-per-year", days])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out == ""
+    assert f"argument --days-per-year: must be a positive integer, got {days}" in err
+
+
 def test_validate_unknown_blr_label(run_cli):
     res = run_cli("validate", "--blr", "--g-inv", "9m", "--kurtosis", 7,
                   "--history", 250)
@@ -338,6 +349,27 @@ def test_empirical_too_many_fields(run_cli, tmp_path):
     res = run_cli("empirical", str(path), "--tail-factor", 5)
     assert res.returncode == 1
     assert "line 2" in res.stderr
+
+
+def test_empirical_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"1\n2\n\xff\xfe\n3\n")
+    code = cli.main(["empirical", str(path), "--tail-factor", "5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"tailbound: error: {path} is not UTF-8 text (invalid start byte)\n"
+
+
+def test_empirical_oversized_field_reports_line_number(tmp_path, capsys):
+    # the csv module's field limit stays at its default of 131072 characters
+    path = tmp_path / "long.csv"
+    path.write_text("1\n2\n" + "9" * 200_000 + "\n3\n", encoding="utf-8")
+    code = cli.main(["empirical", str(path), "--tail-factor", "5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "tailbound: error: line 3: field larger than field limit (131072)\n"
 
 
 def test_empirical_rejects_non_finite(run_cli, tmp_path):
