@@ -7,7 +7,6 @@ both to stress-test shock models.
 """
 
 from .appendix_search import (
-    BaseShape,
     ComparisonRow,
     KAPPA_TOL,
     OutlierSearchResult,
@@ -22,17 +21,14 @@ from .chebyshev_bounds import (
     bhattacharyya_bound,
     even_moment_bound,
     even_moment_endpoint,
-    min_n_for_bhattacharyya_validity,
     zelen_bound,
 )
 from .distributions import (
     BLR_TAIL_FACTORS,
-    BlrParameters,
     TailFactorQuery,
     blr_h_from_kurtosis,
     blr_kurtosis,
     blr_tail_factor,
-    g_from_mean_reversion_label,
     normal_cdf,
     normal_isf,
     normal_quantile,

@@ -48,7 +48,6 @@ from .errors import BracketRangeError, DomainError, NonMonotoneError, SearchErro
 from .extreme_point import _central_sums
 
 __all__ = [
-    "BaseShape",
     "SHAPES",
     "KAPPA_TOL",
     "OutlierSearchResult",
@@ -63,19 +62,8 @@ __all__ = [
 KAPPA_TOL = 1e-9
 
 
-class BaseShape(NamedTuple):
-    """A named background shape and its limiting population kurtosis."""
-
-    kind: str
-    base_kurtosis: float
-
-
-SHAPES = {
-    "bimodal": BaseShape("bimodal", 1.0),
-    "trimodal": BaseShape("trimodal", 1.5),
-    "two_thirds": BaseShape("two_thirds", 1.5),
-    "uniform": BaseShape("uniform", 1.8),
-}
+#: the base shapes, each also a column of :class:`ComparisonRow`
+SHAPES = ("bimodal", "trimodal", "two_thirds", "uniform")
 
 
 class OutlierSearchResult(NamedTuple):
@@ -140,7 +128,8 @@ def search_outlier_on_points(
     target_kappa, to within KAPPA_TOL.
 
     Raises:
-        DomainError: fewer than 4 base points, or a base with zero variance.
+        DomainError: a non-finite target_kappa, fewer than 4 base points, or
+            a base with zero variance.
         BracketRangeError: target unreachable (at or below the kurtosis of
             the base with the outlier resting on its maximum, or above the
             supremum reachable by any finite outlier).
@@ -148,6 +137,8 @@ def search_outlier_on_points(
             expanded (would invalidate the bisection).
         SearchError: bisection stalled before reaching KAPPA_TOL.
     """
+    if not -math.inf < target_kappa < math.inf:
+        raise DomainError(f"target kurtosis must be a finite number, got {target_kappa!r}")
     base = list(map(float, base_points))
     m = len(base)
     if m < 4:
@@ -249,20 +240,9 @@ def comparison_table(
     Errors from any individual search propagate unchanged; a row either
     completes in full or not at all.
     """
-    rows = []
-    for m in base_sizes:
-        stats = {
-            kind: search_outlier(kind, m + 1, target_kappa).a_statistic
-            for kind in ("bimodal", "trimodal", "two_thirds", "uniform")
-        }
-        rows.append(
-            ComparisonRow(
-                base_m=m,
-                samuelson=math.sqrt(m),
-                bimodal=stats["bimodal"],
-                trimodal=stats["trimodal"],
-                two_thirds=stats["two_thirds"],
-                uniform=stats["uniform"],
-            )
-        )
-    return rows
+    return [
+        ComparisonRow(base_m=m, samuelson=math.sqrt(m), **{
+            kind: search_outlier(kind, m + 1, target_kappa).a_statistic for kind in SHAPES
+        })
+        for m in base_sizes
+    ]

@@ -16,6 +16,16 @@ Bhattacharyya (one-sided upper tail):
                  / ((kappa - theta3**2 - 1)*(1 + t**2) + (t**2 - t*theta3 - 1))
     valid for t**2 - t*theta3 - 1 > 0.
 
+At the extreme-point threshold t = a(n, kappa) of :mod:`tailbound.extreme_point`,
+with A = a**2, the Bhattacharyya margin factors as
+
+    A - a*theta3 - 1 = -(n+1)/(n-1)**2 * (A - (n-1)) * (A - (n-1)/(n+1)).
+
+The feasible range of A is (2(n-1)/(n+1), n-1], so the margin is positive
+inside it and exactly zero at the Samuelson endpoint A = n-1.  The smallest
+n admitting the bound is therefore feasible_floor(kappa), or one more when
+kappa equals kappa_max at that floor (3.25 at n = 5, 4.2 at n = 6).
+
 Evaluations outside a validity region raise; nothing is clamped to the
 boundary, because a silently saturated bound would hide exactly the regime
 the validity analysis is about.  Moment combinations no distribution can
@@ -28,13 +38,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import (
-    DomainError,
-    MomentInfeasibleError,
-    SearchError,
-    ThresholdTooSmallError,
-)
-from .extreme_point import feasible_floor, solve_extreme_point
+from .errors import DomainError, MomentInfeasibleError, ThresholdTooSmallError
 
 __all__ = [
     "BoundEvaluation",
@@ -42,48 +46,24 @@ __all__ = [
     "even_moment_endpoint",
     "zelen_bound",
     "bhattacharyya_bound",
-    "min_n_for_bhattacharyya_validity",
 ]
 
 
-class _BoundEvaluationFields(NamedTuple):
-    method: str  # "even_moment" | "zelen" | "bhattacharyya"
-    threshold_t: float
-    probability: float | None
-    valid: bool
-
-
-class BoundEvaluation(_BoundEvaluationFields):
+class BoundEvaluation(NamedTuple):
     """Outcome of evaluating one tail inequality at one threshold.
 
-    probability is None exactly when valid is False (the grid renderers use
-    such instances to mark out-of-domain cells without inventing numbers).
+    Every bound raises outside its validity region rather than returning
+    an evaluation, so each one carries a probability.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, method: str, threshold_t: float, probability: float | None,
-                valid: bool = True):
-        if valid and probability is None:
-            raise DomainError("a valid evaluation must carry a probability")
-        if not valid and probability is not None:
-            raise DomainError("an invalid evaluation must not carry a probability")
-        return super().__new__(cls, method, threshold_t, probability, valid)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through here: keep it checked
-        return cls(*iterable)
+    method: str  # "even_moment" | "zelen" | "bhattacharyya"
+    threshold_t: float
+    probability: float
 
     @property
     def one_in_n(self) -> float:
         """Reciprocal of the bound: 'one observation in N' scale."""
-        if self.probability is None:
-            raise DomainError("invalid evaluation has no probability")
         return 1.0 / self.probability
-
-    @classmethod
-    def invalid(cls, method: str, threshold_t: float) -> "BoundEvaluation":
-        return cls(method=method, threshold_t=threshold_t, probability=None, valid=False)
 
 
 def even_moment_bound(t: float, k: int, moment_2k: float) -> BoundEvaluation:
@@ -94,14 +74,15 @@ def even_moment_bound(t: float, k: int, moment_2k: float) -> BoundEvaluation:
     1/t**(2k), capped at 1 (for t < 1 the inequality is vacuous).
 
     Raises:
-        DomainError: t <= 0, k < 1 or non-integer, or moment_2k <= 0.
+        DomainError: t or moment_2k not a finite positive number, or k < 1
+            or non-integer.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DomainError(f"moment order k must be a positive integer, got {k!r}")
-    if not t > 0.0:
-        raise DomainError(f"threshold multiplier t must be positive, got {t!r}")
-    if not moment_2k > 0.0:
-        raise DomainError(f"even moment must be positive, got {moment_2k!r}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"threshold multiplier t must be finite and positive, got {t!r}")
+    if not 0.0 < moment_2k < math.inf:
+        raise DomainError(f"even moment must be finite and positive, got {moment_2k!r}")
     return BoundEvaluation(
         method="even_moment",
         threshold_t=t * moment_2k ** (1.0 / (2 * k)),
@@ -116,7 +97,7 @@ def even_moment_endpoint(n: float, kappa: float) -> BoundEvaluation:
     threshold (kappa*n)**(1/4) at probability exactly 1/n.
 
     Raises:
-        DomainError: n < 1 or kappa <= 0.
+        DomainError: n < 1, or kappa not a finite positive number.
     """
     if not n >= 1:
         raise DomainError(f"n must be at least 1, got {n!r}")
@@ -166,27 +147,3 @@ def bhattacharyya_bound(t: float, theta3: float, kappa: float) -> BoundEvaluatio
         )
     probability = d / (d * (1.0 + t * t) + s)
     return BoundEvaluation(method="bhattacharyya", threshold_t=t, probability=probability)
-
-
-def min_n_for_bhattacharyya_validity(kappa: float, n_cap: int = 10**7) -> int:
-    """Smallest sample size whose extreme-point threshold admits the bound.
-
-    Scans integers n from the feasibility floor for the first n where the
-    validity condition a**2 - a*theta3 - 1 > 0 holds at t = a(n, kappa).
-    The condition equals zero exactly when kappa sits at the upper
-    feasibility endpoint and is strictly positive inside the feasible range,
-    so in practice this returns the feasibility floor in n.
-
-    Raises:
-        DomainError: kappa not a finite number above 1.
-        SearchError: no admissible n up to n_cap.
-    """
-    n = feasible_floor(kappa)
-    while n <= n_cap:
-        sol = solve_extreme_point(n, kappa)
-        if sol.a * sol.a - sol.a * sol.theta3 - 1.0 > 0.0:
-            return n
-        n += 1
-    raise SearchError(
-        f"no sample size up to {n_cap} admits the Bhattacharyya bound at kappa={kappa!r}"
-    )

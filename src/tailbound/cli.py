@@ -37,7 +37,7 @@ from .errors import (
     TableLookupError,
     TailboundError,
 )
-from .extreme_point import samuelson_bound, solve_extreme_point, third_moment
+from .extreme_point import samuelson_bound, solve_extreme_point
 from .output import FORMATS, INFEASIBLE_MARKER, OutputDocument
 
 __all__ = ["main", "build_parser"]
@@ -189,10 +189,9 @@ def build_bounds_table(method: str, n_list: Sequence[int] | None,
         if method == "even-moment":
             return chebyshev_bounds.even_moment_endpoint(n, kappa).threshold_t
         sol = solve_extreme_point(n, kappa)
-        t3 = third_moment(sol)
         if method == "zelen":
-            return chebyshev_bounds.zelen_bound(sol.a, t3, kappa).one_in_n
-        return chebyshev_bounds.bhattacharyya_bound(sol.a, t3, kappa).probability
+            return chebyshev_bounds.zelen_bound(sol.a, sol.theta3, kappa).one_in_n
+        return chebyshev_bounds.bhattacharyya_bound(sol.a, sol.theta3, kappa).probability
 
     rows: list[list] = []
     for n in n_list:
@@ -393,11 +392,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             doc = build_bounds_table(args.method, args.n, args.kurtosis)
             code = EXIT_INFEASIBLE if doc.has_marker() else EXIT_OK
         elif args.command == "tail-factor":
-            if args.model == "student-t" and args.dof is not None and args.dof <= 2:
+            doc = build_tail_factor(args.model, args.dof, args.horizon)
+            if args.model == "student-t" and args.dof <= 2:
+                # after the build, so a rejected dof gets no warning
                 print(f"warning: student-t with dof={args.dof} has infinite "
                       "variance; the raw quantile is still reported",
                       file=sys.stderr)
-            doc = build_tail_factor(args.model, args.dof, args.horizon)
             code = EXIT_OK
         elif args.command == "validate":
             doc, code = build_validate(args)

@@ -31,7 +31,6 @@ tail factors, embedded verbatim in :data:`BLR_TAIL_FACTORS`.
 from __future__ import annotations
 
 import math
-import re
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -47,9 +46,7 @@ __all__ = [
     "student_t_kurtosis",
     "blr_kurtosis",
     "blr_h_from_kurtosis",
-    "g_from_mean_reversion_label",
     "TailFactorQuery",
-    "BlrParameters",
     "blr_tail_factor",
     "BLR_TAIL_FACTORS",
     "BLR_TABLE_VERSION",
@@ -90,6 +87,8 @@ _ACKLAM_LOW = 0.02425
 
 
 def _acklam(p: float) -> float:
+    """Acklam's start for the lower-tail deviate at p <= 1/2 (normal_isf
+    folds the upper tail onto it)."""
     if p < _ACKLAM_LOW:
         q = math.sqrt(-2.0 * math.log(p))
         a, b, c, d, e, f = _ACKLAM_C
@@ -97,8 +96,6 @@ def _acklam(p: float) -> float:
         g, h, i, j = _ACKLAM_D
         den = (((g * q + h) * q + i) * q + j) * q + 1.0
         return num / den
-    if p > 1.0 - _ACKLAM_LOW:
-        return -_acklam(1.0 - p)
     q = p - 0.5
     r = q * q
     a, b, c, d, e, f = _ACKLAM_A
@@ -419,69 +416,6 @@ def blr_h_from_kurtosis(kappa: float, g: float) -> float:
     if kappa < 3.0:
         raise DomainError(f"BLR kurtosis is at least 3, got {kappa!r}")
     return math.sqrt(2.0 * g * math.log(kappa / 3.0))
-
-
-_LABEL_RE = re.compile(r"^(\d+)m$")
-
-
-def g_from_mean_reversion_label(label: str, days_per_year: int = 250) -> float:
-    """Convert a mean-reversion-time label like "6m" to a per-day rate g.
-
-    "6m" means 1/g = 6 months; months are converted at days_per_year/12
-    business days each.
-
-    Raises:
-        DomainError: unparseable label or non-positive days_per_year.
-    """
-    if not days_per_year > 0:
-        raise DomainError(f"days_per_year must be positive, got {days_per_year!r}")
-    m = _LABEL_RE.match(label.strip())
-    if m is None:
-        raise DomainError(f"cannot parse mean-reversion label {label!r}; expected e.g. '6m'")
-    months = int(m.group(1))
-    if months == 0:
-        raise DomainError("mean-reversion time must be positive")
-    return 1.0 / (months * days_per_year / 12.0)
-
-
-class _BlrParametersFields(NamedTuple):
-    g: float
-    h: float
-    kappa: float
-    rho: float  # volatility/return correlation used by the published grid
-    g_inverse_label: str | None
-
-
-class BlrParameters(_BlrParametersFields):
-    """A consistent BLR parameter point (g, h, kappa).
-
-    Consistency kappa == 3*exp(h**2/(2g)) is enforced on construction, so
-    kappa > 3 exactly when h > 0 and kappa == 3 exactly when h == 0.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, g: float, h: float, kappa: float, rho: float = 0.5,
-                g_inverse_label: str | None = None):
-        implied = blr_kurtosis(h, g)
-        if not math.isclose(implied, kappa, rel_tol=1e-9, abs_tol=0.0):
-            raise DomainError(
-                f"inconsistent BLR parameters: h={h!r}, g={g!r} imply "
-                f"kurtosis {implied!r}, got {kappa!r}"
-            )
-        return super().__new__(cls, g, h, kappa, rho, g_inverse_label)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through here: keep it checked
-        return cls(*iterable)
-
-    @classmethod
-    def from_h(cls, h: float, g: float, **kw) -> "BlrParameters":
-        return cls(g=g, h=h, kappa=blr_kurtosis(h, g), **kw)
-
-    @classmethod
-    def from_kurtosis(cls, kappa: float, g: float, **kw) -> "BlrParameters":
-        return cls(g=g, h=blr_h_from_kurtosis(kappa, g), kappa=kappa, **kw)
 
 
 #: Version tag for the embedded published tail-factor table below.

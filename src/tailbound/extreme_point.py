@@ -64,10 +64,6 @@ __all__ = [
     "oracle_moments",
 ]
 
-#: forms accepted by :func:`asymptotic_a`
-ASYMPTOTIC_FORMS = ("sign-corrected", "printed")
-
-
 class KurtosisRange(NamedTuple):
     """Feasible kurtosis interval for a sample size: (kappa_min, kappa_max]."""
 
@@ -192,47 +188,33 @@ def solve_extreme_point(n: float, kappa: float) -> ExtremePointSolution:
         g_value=g,
         a=a,
         b_squared=b_sq,
-        theta3=_third_moment(n, a),
+        theta3=-3.0 * a / (n - 1) + (n + 1) * a**3 / (n - 1) ** 2,
         samuelson_bound=math.sqrt(n - 1),
     )
 
 
-def _third_moment(n: float, a: float) -> float:
-    return -3.0 * a / (n - 1) + (n + 1) * a**3 / (n - 1) ** 2
-
-
 def third_moment(solution: ExtremePointSolution) -> float:
-    """Population third moment implied by a solved configuration.
-
-    Evaluates -3a/(n-1) + (n+1)a**3/(n-1)**2; both terms vanish at a = 0.
-    """
-    return _third_moment(solution.n, solution.a)
+    """Population third moment -3a/(n-1) + (n+1)a**3/(n-1)**2 of a solved
+    configuration."""
+    return solution.theta3
 
 
-def asymptotic_a(n: float, kappa: float, form: str = "sign-corrected") -> float:
-    """Large-n approximation of the extreme deviation.
+def asymptotic_a(n: float, kappa: float) -> float:
+    """Large-n approximation sqrt(1 + sqrt(1 + n*(kappa-1))) of the extreme
+    deviation.
 
-    Two variants share the leading order (n*(kappa-1))**0.25:
-
-        printed:        sqrt(-1 + sqrt(1 + n*(kappa-1)))
-        sign-corrected: sqrt( 1 + sqrt(1 + n*(kappa-1)))
-
-    The sign-corrected variant tracks the exact root; the printed variant is
-    retained for documentation and comparison only.
+    Its leading order is (n*(kappa-1))**0.25.  The sign in front of the
+    outer 1 is corrected from the printed form sqrt(-1 + sqrt(...)), which
+    falls below the exact root; this one tracks it from above.
 
     Raises:
-        DomainError: kappa <= 1, n < 5, or an unknown form.
+        DomainError: kappa <= 1 or n < 5.
     """
-    if form not in ASYMPTOTIC_FORMS:
-        raise DomainError(f"form must be one of {ASYMPTOTIC_FORMS}, got {form!r}")
     if not n >= 5:
         raise DomainError(f"sample size must be at least 5, got {n!r}")
     if not kappa > 1.0:
         raise DomainError(f"kurtosis must exceed 1, got {kappa!r}")
-    inner = math.sqrt(1.0 + n * (kappa - 1.0))
-    if form == "printed":
-        return math.sqrt(inner - 1.0)
-    return math.sqrt(inner + 1.0)
+    return math.sqrt(math.sqrt(1.0 + n * (kappa - 1.0)) + 1.0)
 
 
 def samuelson_bound(n: float) -> float:

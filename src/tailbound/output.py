@@ -41,8 +41,9 @@ class OutputDocument:
         self.rows = rows
         self.notes = [] if notes is None else notes
 
-    def has_marker(self, marker: str = INFEASIBLE_MARKER) -> bool:
-        return any(cell == marker for row in self.rows for cell in row)
+    def has_marker(self) -> bool:
+        """Whether any cell holds :data:`INFEASIBLE_MARKER`."""
+        return any(cell == INFEASIBLE_MARKER for row in self.rows for cell in row)
 
     def render(self, fmt: str, precision: int = 3) -> str:
         if fmt not in FORMATS:

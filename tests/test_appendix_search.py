@@ -13,6 +13,7 @@ from tailbound import (
     BracketRangeError,
     ComparisonRow,
     DomainError,
+    SearchError,
     comparison_table,
     generate_base,
     oracle_moments,
@@ -151,6 +152,14 @@ def test_search_input_validation():
     for value in (0.0, 0.1, -3.7, 1e6):  # constant bases: zero variance
         with pytest.raises(DomainError):
             search_outlier_on_points([value] * 7, 5.0)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_non_finite_target_is_a_domain_error(target):
+    # rejected before the search starts, not blamed on the bisection
+    with pytest.raises(DomainError, match="target kurtosis") as exc:
+        search_outlier_on_points(generate_base("bimodal", 8), target)
+    assert not isinstance(exc.value, SearchError)
 
 
 def _direct_kurtosis(base, x):

@@ -1,19 +1,22 @@
 """Moment-bound evaluations: direct substitutions, domains, published grids."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tailbound import (
-    BoundEvaluation,
+    BoundValidityError,
     DomainError,
     MomentInfeasibleError,
     ThresholdTooSmallError,
     bhattacharyya_bound,
     even_moment_bound,
     even_moment_endpoint,
+    feasible_floor,
     feasible_kurtosis_range,
-    min_n_for_bhattacharyya_validity,
     solve_extreme_point,
     third_moment,
     zelen_bound,
@@ -67,6 +70,13 @@ def test_even_moment_rejects_bad_inputs():
         even_moment_bound(2.0, 0, 3.0)
     with pytest.raises(DomainError):
         even_moment_bound(2.0, 2, -3.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            even_moment_bound(bad, 2, 3.0)
+        with pytest.raises(DomainError):
+            even_moment_bound(2.0, 2, bad)
+        with pytest.raises(DomainError):
+            even_moment_endpoint(1000, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +174,7 @@ def test_bhattacharyya_rejects_exactly_at_the_samuelson_endpoint():
     with pytest.raises(ThresholdTooSmallError):
         bhattacharyya_bound(a, t3, rng.kappa_max)
     a, t3 = extremal_inputs(n, rng.kappa_max - 1e-6)
-    assert bhattacharyya_bound(a, t3, rng.kappa_max - 1e-6).valid
+    assert 0.0 < bhattacharyya_bound(a, t3, rng.kappa_max - 1e-6).probability <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,38 +183,51 @@ def test_bhattacharyya_rejects_exactly_at_the_samuelson_endpoint():
 
 
 def test_min_n_is_the_feasibility_floor():
-    # the validity margin is positive strictly inside the feasible kurtosis
-    # range and zero only at its upper endpoint, so the smallest admissible
-    # n is the smallest n whose range contains kappa at all
-    for kappa, expected in [(7.0, 9), (16.0, 18), (2.0, 5)]:
-        got = min_n_for_bhattacharyya_validity(kappa)
-        assert got == expected
-        # defining property: admissible at got, infeasible below
-        a, t3 = extremal_inputs(got, kappa)
-        assert a * a - a * t3 - 1.0 > 0.0
-        for n in range(5, got):
-            assert kappa not in feasible_kurtosis_range(n)
+    # exact proof in rationals.  With A = a**2 and r = (n-1)/(n+1), the
+    # margin a**2 - a*theta3 - 1 at the extreme point is a quadratic in A;
+    # agreeing with the factored form at three A values makes them identical
+    for n in map(Fraction, range(5, 80)):
+        r = (n - 1) / (n + 1)
 
+        def margin(a):
+            theta3 = -3 * a / (n - 1) + (n + 1) * a**3 / (n - 1) ** 2
+            return a * a - a * theta3 - 1
 
-def test_min_n_rejects_sub_unit_kurtosis():
+        def factored(A):
+            return -(n + 1) / (n - 1) ** 2 * (A - (n - 1)) * (A - r)
+
+        for a in (Fraction(0), Fraction(1, 3), Fraction(2), n):
+            assert margin(a) == factored(a * a)
+        # the canonical root of (*) runs over A in (2r, n-1] as kappa runs
+        # over (kappa_min, kappa_max]: G is 0 at kappa_min, and at kappa_max
+        # n-1 is the root above r
+        rng = feasible_kurtosis_range(n)
+        assert rng.kappa_min == n / (n - 1)
+
+        def g(kappa):
+            return (n - 1) ** 2 * (n - (n - 1) * kappa) / ((n + 1) * (n - 3))
+
+        assert g(rng.kappa_min) == 0
+        assert (n - 1) ** 2 - 2 * r * (n - 1) + g(rng.kappa_max) == 0 and n - 1 > r
+        # the roots r < 2r and n-1 bound that range, the quadratic opens
+        # downwards and is positive at 2r, so the margin is positive inside
+        # it and exactly zero at the Samuelson endpoint
+        assert 0 < r < 2 * r < n - 1
+        assert factored(2 * r) > 0
+        assert factored(n - 1) == 0
+    # so the smallest admissible n is the feasibility floor, or one more
+    # where kappa is kappa_max of that floor: 3.25 at n = 5, 4.2 at n = 6
+    for kappa, first in [(7.0, 9), (16.0, 18), (2.0, 5), (3.25, 6), (4.2, 7)]:
+        floor = feasible_floor(kappa)
+        assert floor == first - (kappa == feasible_kurtosis_range(floor).kappa_max)
+        a, t3 = extremal_inputs(first, kappa)
+        assert 0.0 < bhattacharyya_bound(a, t3, kappa).probability <= 1.0
+        if floor < first:
+            a, t3 = extremal_inputs(floor, kappa)
+            with pytest.raises(BoundValidityError):
+                bhattacharyya_bound(a, t3, kappa)
     with pytest.raises(DomainError):
-        min_n_for_bhattacharyya_validity(1.0)
-
-
-# ---------------------------------------------------------------------------
-# evaluation type
-# ---------------------------------------------------------------------------
-
-
-def test_evaluation_invariants():
-    ev = BoundEvaluation.invalid("zelen", 2.0)
-    assert not ev.valid and ev.probability is None
-    with pytest.raises(DomainError):
-        ev.one_in_n
-    with pytest.raises(DomainError):
-        BoundEvaluation(method="zelen", threshold_t=1.0, probability=None, valid=True)
-    with pytest.raises(DomainError):
-        BoundEvaluation(method="zelen", threshold_t=1.0, probability=0.5, valid=False)
+        feasible_floor(1.0)
 
 
 @given(

@@ -123,6 +123,28 @@ def test_bounds_bhattacharyya_probabilities(run_cli):
     assert doc["rows"][0][1] == pytest.approx(0.003453, rel=0.02)
 
 
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_bounds_non_finite_kurtosis_is_infeasible(fmt, capsys):
+    code = cli.main(["bounds", "--method", "even-moment", "--n", "250",
+                     "--kurtosis", "inf", "16", "--format", fmt])
+    out, _ = capsys.readouterr()
+    assert code == 3
+    if fmt == "json":
+        doc = json.loads(out, parse_constant=_no_constants)
+        jsonschema.validate(doc, SCHEMA)
+        cells = doc["rows"][0]
+    elif fmt == "csv":
+        cells = list(csv.reader(io.StringIO(out)))[1]
+    else:
+        cells = [c.strip() for c in out.splitlines()[4].strip("|").split("|")]
+    assert cells[1] == "infeasible"
+    assert float(cells[2]) == pytest.approx((16 * 250) ** 0.25, abs=5e-4)
+
+
 def test_bounds_requires_method(run_cli):
     res = run_cli("bounds")
     assert res.returncode == 1
@@ -161,6 +183,14 @@ def test_tail_factor_low_dof_warns_but_computes(run_cli):
     assert "tail_factor" in res.stdout
 
 
+@pytest.mark.parametrize("dof, code", [(0, 3), (1, 0), (2, 0)])
+def test_tail_factor_warns_only_for_an_accepted_low_dof(dof, code, capsys):
+    assert cli.main(["tail-factor", "--model", "student-t", "--dof", str(dof),
+                     "--horizon", "10"]) == code
+    _, err = capsys.readouterr()
+    assert ("infinite variance" in err) == (code == 0)
+
+
 def test_tail_factor_flag_misuse(run_cli):
     res = run_cli("tail-factor", "--model", "student-t", "--horizon", 250)
     assert res.returncode == 1
@@ -197,6 +227,8 @@ def test_tail_factor_deep_horizon_is_finite(model, capsys):
     ["validate", "--tail-factor", "inf", "--history", "500", "--kurtosis", "7",
      "--format", "json"],
     ["validate", "--tail-factor", "nan", "--history", "500", "--kurtosis", "7"],
+    ["appendix", "--n", "5", "--kappa", "nan"],
+    ["appendix", "--n", "5", "--kappa", "inf"],
 ])
 def test_non_finite_inputs_exit_3_with_no_output(argv, capsys):
     code = cli.main(argv)

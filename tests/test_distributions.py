@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from tailbound import (
     BLR_TAIL_FACTORS,
-    BlrParameters,
     DomainError,
     SearchError,
     TableLookupError,
@@ -17,7 +16,6 @@ from tailbound import (
     blr_h_from_kurtosis,
     blr_kurtosis,
     blr_tail_factor,
-    g_from_mean_reversion_label,
     normal_cdf,
     normal_isf,
     normal_quantile,
@@ -324,11 +322,9 @@ def test_blr_kurtosis_overflow_is_typed():
 
 
 def test_blr_six_month_round_trip():
-    g = g_from_mean_reversion_label("6m")
+    g = 1.0 / 125.0  # 1/g = 6 months of 250/12 business days
     h = blr_h_from_kurtosis(16.0, g)
     assert blr_kurtosis(h, g) == pytest.approx(16.0, rel=1e-12)
-    params = BlrParameters.from_kurtosis(16.0, g, g_inverse_label="6m")
-    assert params.h == pytest.approx(h, abs=0.0)
 
 
 def test_blr_rejects_bad_arguments():
@@ -338,10 +334,6 @@ def test_blr_rejects_bad_arguments():
         blr_kurtosis(-0.5, 1.0)
     with pytest.raises(DomainError):
         blr_h_from_kurtosis(2.9, 1.0)
-    with pytest.raises(DomainError):
-        g_from_mean_reversion_label("6 months")
-    with pytest.raises(DomainError):
-        BlrParameters(g=1.0, h=1.0, kappa=3.0)  # inconsistent triple
 
 
 def test_blr_table_matches_reference():

@@ -89,7 +89,8 @@ def test_solution_carries_consistent_fields():
     assert sol.n == 250
     assert sol.kappa == 7.0
     assert sol.samuelson_bound == pytest.approx(math.sqrt(249), abs=1e-12)
-    assert sol.theta3 == pytest.approx(third_moment(sol), abs=0.0)
+    assert sol.theta3 == pytest.approx(
+        -3 * sol.a / 249 + 251 * sol.a**3 / 249**2, rel=1e-15)
     # quadratic residual, relative to the constant term
     a2 = sol.a * sol.a
     r = (sol.n - 1) / (sol.n + 1)
@@ -179,12 +180,12 @@ def test_asymptotic_leading_order_anchor():
 
 
 def test_asymptotic_forms_bracket_the_root():
+    # the sign-corrected form sits just above the root, the leading order
+    # (n*(kappa-1))**0.25 below it
     exact = solve_extreme_point(250, 7.0).a
-    corrected = asymptotic_a(250, 7.0, form="sign-corrected")
-    printed = asymptotic_a(250, 7.0, form="printed")
-    assert printed < exact < corrected
+    corrected = asymptotic_a(250, 7.0)
+    assert (250 * 6.0) ** 0.25 < exact < corrected
     assert abs(corrected - exact) / exact < 2e-3
-    assert abs(printed - exact) / exact < 3e-2
 
 
 def test_asymptotic_agreement_at_large_n():
@@ -196,12 +197,10 @@ def test_asymptotic_agreement_at_large_n():
 
 
 def test_asymptotic_degenerate_kurtosis_limit():
-    # printed form vanishes as kappa -> 1+
-    assert asymptotic_a(1000, 1.0 + 1e-12, form="printed") < 1e-4
+    # the approximation tends to sqrt(2) as kappa -> 1+
+    assert asymptotic_a(1000, 1.0 + 1e-12) == pytest.approx(math.sqrt(2.0), rel=1e-9)
     with pytest.raises(DomainError):
         asymptotic_a(1000, 1.0)
-    with pytest.raises(DomainError):
-        asymptotic_a(1000, 7.0, form="bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,6 @@
 import pytest
 
 from tailbound import (
-    BaseShape,
-    BlrParameters,
     BoundEvaluation,
     ComparisonRow,
     DomainError,
@@ -15,8 +13,6 @@ from tailbound import (
     OutlierSearchResult,
     ReturnSeries,
     TailFactorQuery,
-    blr_h_from_kurtosis,
-    blr_kurtosis,
 )
 from tailbound.output import OutputDocument
 
@@ -24,15 +20,12 @@ _VERDICT = dict(tail_factor=13.115, history_n=500, kappa=7.0, required_a=7.464,
                 margin=5.651, passed=True, max_safe_history=4874)
 _SERIES = dict(values=(1.0, 2.0, 3.0, 4.0, 5.0), n=5, mean=3.0, sigma=2.0 ** 0.5,
                kurtosis=1.7, max_abs_deviation_in_sigmas=2.0 ** 0.5)
-_BLR = dict(g=0.008, h=blr_h_from_kurtosis(7.0, 0.008), kappa=7.0, rho=0.5,
-            g_inverse_label="6m")
 
 #: every public result type, with keyword arguments that construct it
 TYPES = [
     (KurtosisRange, dict(n=500, kappa_min=500 / 499, kappa_max=248503 / 499)),
     (ExtremePointSolution, dict(n=500, kappa=7.0, g_value=-2993.0, a=7.464,
                                 b_squared=0.89, theta3=0.79, samuelson_bound=22.338)),
-    (BaseShape, dict(kind="uniform", base_kurtosis=1.8)),
     (OutlierSearchResult, dict(a_statistic=10.99, outlier_value=3.1, achieved_kappa=16.0)),
     (ComparisonRow, dict(base_m=500, samuelson=22.36, bimodal=12.3, trimodal=12.0,
                          two_thirds=11.9, uniform=11.0)),
@@ -41,8 +34,7 @@ TYPES = [
     (EmpiricalVerdict, dict(verdict=ModelVerdict(**_VERDICT), series=ReturnSeries(**_SERIES),
                             historical_breach=False, kurtosis_infeasible=False)),
     (TailFactorQuery, dict(horizon_n=250.0, model="student-t", dof=5)),
-    (BlrParameters, _BLR),
-    (BoundEvaluation, dict(method="zelen", threshold_t=7.464, probability=0.01, valid=True)),
+    (BoundEvaluation, dict(method="zelen", threshold_t=7.464, probability=0.01)),
     (OutputDocument, dict(title="t", columns=["a", "b"], rows=[[1, 2.0]], notes=["n"])),
 ]
 
@@ -75,14 +67,6 @@ _BAD = [
      "student-t tail factors need degrees of freedom"),
     (TailFactorQuery, dict(horizon_n=250.0, model="normal"), dict(dof=5),
      "dof is only meaningful for the student-t model"),
-    (BlrParameters, _BLR, dict(h=0.1),
-     f"inconsistent BLR parameters: h=0.1, g=0.008 imply kurtosis "
-     f"{blr_kurtosis(0.1, 0.008)!r}, got 7.0"),
-    (BlrParameters, _BLR, dict(g=-1.0), "mean-reversion rate g must be positive, got -1.0"),
-    (BoundEvaluation, dict(method="zelen", threshold_t=2.0, probability=0.1),
-     dict(probability=None), "a valid evaluation must carry a probability"),
-    (BoundEvaluation, dict(method="zelen", threshold_t=2.0, probability=0.1),
-     dict(valid=False), "an invalid evaluation must not carry a probability"),
     (OutputDocument, dict(title="t", columns=["a"], rows=[[1]]), dict(columns=[]),
      "a document needs at least one column"),
     (OutputDocument, dict(title="t", columns=["a"], rows=[[1]]), dict(rows=[[1], [1, 2]]),
