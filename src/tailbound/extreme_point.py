@@ -158,25 +158,31 @@ def solve_extreme_point(n: float, kappa: float) -> ExtremePointSolution:
     form so that a == sqrt(n-1) and b_squared == 0 exactly.
 
     Raises:
-        DomainError: n < 5.
+        DomainError: n < 5, or n*kappa past the float range.
         InfeasibleKurtosisError: kappa outside (kappa_min, kappa_max].
     """
     rng = feasible_kurtosis_range(n)
     if kappa not in rng:
         raise InfeasibleKurtosisError(n, kappa, rng.kappa_min, rng.kappa_max)
 
-    r = (n - 1) / (n + 1)
-    g = (n - 1) ** 2 * (n - (n - 1) * kappa) / ((n + 1) * (n - 3))
+    # ratios of a float n keep every intermediate near the size of the
+    # result, so neither a huge int n nor (n-1)**2 overflows
+    nf = float(n)
+    r = (nf - 1) / (nf + 1)
+    g = r * ((nf - 1) / (nf - 3)) * (nf - (nf - 1) * kappa)
 
-    if kappa == rng.kappa_max:
-        # Samuelson endpoint: exact arithmetic avoids a root-cancellation
-        # wobble of order 1e-16 that would make b_squared dip negative.
-        a_sq = n - 1.0
+    if kappa == rng.kappa_max and g > -math.inf:
+        # Samuelson endpoint (an overflowed g goes on to the DomainError
+        # below): exact arithmetic avoids a root-cancellation wobble of
+        # order 1e-16 that would make b_squared dip negative.
+        a_sq = nf - 1.0
         b_sq = 0.0
     else:
         a_sq = r + math.sqrt(r * r - g)
-        b_sq = n / (n - 1) - a_sq * n / (n - 1) ** 2
+        b_sq = nf / (nf - 1) - a_sq / (nf - 1) * nf / (nf - 1)
         if b_sq < 0.0:
+            if g == -math.inf:  # (n-1)*kappa overflowed, so a_sq is inf
+                raise DomainError(f"n*kappa = {n!r}*{kappa!r} is past the float range")
             if b_sq < -1e-9:  # cannot happen inside the feasible range
                 raise InfeasibleKurtosisError(n, kappa, rng.kappa_min, rng.kappa_max)
             b_sq = 0.0
@@ -188,7 +194,7 @@ def solve_extreme_point(n: float, kappa: float) -> ExtremePointSolution:
         g_value=g,
         a=a,
         b_squared=b_sq,
-        theta3=-3.0 * a / (n - 1) + (n + 1) * a**3 / (n - 1) ** 2,
+        theta3=a / (nf - 1) * ((nf + 1) / (nf - 1) * (a * a) - 3.0),
         samuelson_bound=math.sqrt(n - 1),
     )
 
@@ -252,11 +258,32 @@ def construct_distribution(n: int, kappa: float) -> list[float]:
     return [sol.a] + [b - shift] * half + [-b - shift] * half
 
 
-def _central_sums(values: Iterable[float], centre: float) -> tuple[float, float, float]:
-    """Compensated sums of (v - centre)**k over values, for k = 2, 3, 4."""
+def _binary_levels(values: list[float], counts: list[int] | None) -> tuple[list, list | None]:
+    """Values with counts as (values, exps), one entry (v, k) per set bit 2**k
+    of v's count, so 2**k * term is exact; (values, None) without counts."""
+    if counts is None:
+        return values, None
+    pairs = zip(*((v, k) for v, c in zip(values, counts)
+                  for k in range(c.bit_length()) if c >> k & 1))
+    return tuple(map(list, pairs))
+
+
+def _wsum(terms: Iterable[float], exps: list[int] | None) -> float:
+    """fsum of terms, the i-th counted 2**exps[i] times when exps is given:
+    correctly rounded, so equal to fsum over the repeated list."""
+    if exps is None:
+        return math.fsum(terms)
+    return math.fsum(map(math.ldexp, terms, exps))
+
+
+def _central_sums(
+    values: Iterable[float], centre: float, exps: list[int] | None = None
+) -> tuple[float, float, float]:
+    """Compensated sums of (v - centre)**k over values, for k = 2, 3, 4; with
+    exps, over the weighted points of :func:`_binary_levels`."""
     dev = list(map(sub, values, repeat(centre)))
     sq = list(map(mul, dev, dev))
-    return math.fsum(sq), math.fsum(map(mul, sq, dev)), math.fsum(map(mul, sq, sq))
+    return _wsum(sq, exps), _wsum(map(mul, sq, dev), exps), _wsum(map(mul, sq, sq), exps)
 
 
 def oracle_moments(data: Iterable[float]) -> Moments:

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 from tailbound import (
     KAPPA_TOL,
+    SHAPES,
     BracketRangeError,
     ComparisonRow,
     DomainError,
     SearchError,
+    TailboundError,
+    cli,
     comparison_table,
     generate_base,
     oracle_moments,
@@ -21,6 +25,8 @@ from tailbound import (
     search_outlier_on_points,
     solve_extreme_point,
 )
+
+from tailbound.appendix_search import UNIFORM_MAX_M
 
 import goldens
 
@@ -160,6 +166,59 @@ def test_non_finite_target_is_a_domain_error(target):
     with pytest.raises(DomainError, match="target kurtosis") as exc:
         search_outlier_on_points(generate_base("bimodal", 8), target)
     assert not isinstance(exc.value, SearchError)
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except TailboundError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200)
+@given(
+    kind=st.sampled_from(SHAPES),
+    m=st.integers(min_value=4, max_value=3000),
+    kappa=st.one_of(st.sampled_from([2.5, 7.0, 16.0]), st.floats(min_value=1.0, max_value=40.0)),
+)
+def test_level_search_is_bit_identical_to_the_expanded_list(kind, m, kappa):
+    # the levels' sums take each count * term exactly; a rounded product
+    # moves the last bit of some field
+    want = _outcome(search_outlier_on_points, generate_base(kind, m), kappa)
+    got = _outcome(search_outlier, kind, m + 1, kappa)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("kind", ["bimodal", "trimodal", "two_thirds"])
+def test_level_shapes_search_in_constant_memory(kind):
+    search_outlier(kind, 10**6 + 1, 16.0)  # first-call allocations are not the search's
+    tracemalloc.start()
+    try:
+        search_outlier(kind, 10**6 + 1, 16.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_bimodal_at_a_billion_points_matches_closed_form():
+    n = 10**9 + 1
+    assert search_outlier("bimodal", n, 16.0).a_statistic == pytest.approx(
+        solve_extreme_point(n, 16.0).a, rel=1e-9
+    )
+
+
+def test_uniform_base_above_the_cap_is_a_domain_error(capsys):
+    # the cap is checked before the grid is built, so this costs nothing
+    with pytest.raises(DomainError, match="cap"):
+        search_outlier("uniform", UNIFORM_MAX_M + 2, 16.0)
+    with pytest.raises(DomainError, match="cap"):
+        generate_base("uniform", UNIFORM_MAX_M + 1)
+    # the level shapes of the row run first, at any size
+    assert cli.main(["appendix", "--n", "100000000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "above the cap" in err
 
 
 def _direct_kurtosis(base, x):

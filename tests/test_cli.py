@@ -555,6 +555,23 @@ def test_integer_beyond_float_is_usage_error(argv, capsys):
     assert "too large to convert to float" in err
 
 
+@pytest.mark.parametrize("argv, code, marker", [
+    (["shock-table", "--n", str(10**160)], 0, None),
+    (["bounds", "--method", "zelen", "--n", str(10**160), "--kurtosis", "7"], 0, None),
+    (["validate", "--tail-factor", "3", "--kurtosis", "7", "--history", str(10**160)],
+     2, "FAIL"),
+    (["shock-table", "--n", str(10**200), "--kurtosis", "7", "1e150"], 3, "infeasible"),
+], ids=["shock-table", "bounds", "validate", "shock-table-n-times-kappa-overflows"])
+def test_history_past_the_float_squares_gives_a_finite_row(argv, code, marker, capsys):
+    # the solver's (n-1)**2 used to overflow: a traceback and exit 1
+    assert cli.main([*argv, "--format", "json"]) == code
+    doc = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    jsonschema.validate(doc, SCHEMA)
+    cells = doc["rows"][0][1:]
+    assert all(math.isfinite(c) for c in cells if not isinstance(c, str))
+    assert [c for c in cells if isinstance(c, str)] == ([marker] if marker else [])
+
+
 def test_malformed_integer_keeps_argparse_message(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["shock-table", "--n", "25x"])

@@ -112,6 +112,54 @@ def test_solve_rejects_small_n():
         solve_extreme_point(4, 2.0)
 
 
+def test_huge_n_solves_inside_the_interval_it_prints():
+    # (n-1)**2 * (n - (n-1)*kappa) overflowed to -inf here, and the solver
+    # rejected a kurtosis inside the interval its own message printed
+    rng = feasible_kurtosis_range(1e100)
+    assert 1e99 in rng
+    sol = solve_extreme_point(1e100, 1e99)
+    assert 0.0 < sol.a <= sol.samuelson_bound
+    assert 0.0 <= sol.b_squared <= 1.0
+    assert math.isfinite(sol.g_value) and math.isfinite(sol.theta3)
+
+
+def test_integer_n_past_the_float_squares_solves():
+    # an int (n-1)**2 above 2**1024 used to raise OverflowError
+    n = 10**160
+    sol = solve_extreme_point(n, 7.0)
+    assert sol.n == n
+    # a**4 ~ -G = (n-1)(kappa-1) + O(1) when n is large
+    assert sol.a == pytest.approx(6e160**0.25, rel=1e-12)
+    assert sol.b_squared == pytest.approx(1.0, rel=1e-12)
+    assert math.isfinite(sol.theta3)
+
+
+@pytest.mark.parametrize("n, kappa", [
+    (1e200, 1e150),
+    (1e200, math.inf),  # kappa_max overflows to inf at a float n this large
+    (10**200, float(10**200 - 2)),  # the Samuelson endpoint
+], ids=["float-n", "infinite-kappa", "int-n-at-endpoint"])
+def test_kurtosis_times_n_past_the_float_range_is_a_domain_error(n, kappa):
+    with pytest.raises(DomainError, match="float range") as err:
+        solve_extreme_point(n, kappa)
+    assert not isinstance(err.value, InfeasibleKurtosisError)
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=1.0, max_value=150.0), fractions)
+def test_solve_accepts_every_feasible_kurtosis_at_huge_n(log_n, fraction):
+    n = 10.0**log_n
+    kappa = feasible_kappa(n, fraction)
+    assume(kappa > feasible_kurtosis_range(n).kappa_min)
+    sol = solve_extreme_point(n, kappa)
+    a2 = sol.a * sol.a
+    r = (n - 1) / (n + 1)
+    residual = a2 * a2 - 2 * r * a2 + sol.g_value
+    assert abs(residual) / max(1.0, abs(sol.g_value)) < 1e-9
+    assert 0.0 < sol.a <= sol.samuelson_bound * (1 + 1e-12)
+    assert sol.b_squared >= 0.0 and math.isfinite(sol.theta3)
+
+
 def test_lower_endpoint_limit():
     # The canonical (larger) root does not collapse at the lower kurtosis
     # endpoint; it tends to sqrt(2(n-1)/(n+1)).  Pin that limit.
