@@ -161,6 +161,13 @@ def _search(values, exps, m, bottom, lo, target_kappa) -> OutlierSearchResult:
     # a constant base rarely has an exact float mean, so s2 alone misses it
     if lo == bottom or not s2 > 0.0:
         raise DomainError("zero variance while evaluating kurtosis")
+    # kappa_at below forms t2 * t2 >= s2 * s2 and, at the target, n * t4 =
+    # target * t2 * t2: past the float range every kurtosis reads inf or nan
+    if not s2 * s2 * max(target_kappa, 1.0) < math.inf:
+        raise DomainError(
+            f"a base of {m} points is too large: its kurtosis near the target "
+            f"{target_kappa!r} is past the float range"
+        )
     # coefficients of the powers of d = x - c in the merged central sums
     b2 = m / n
     a1 = 4.0 * s3 / n
@@ -241,8 +248,8 @@ def comparison_table(
     completes in full or not at all.
     """
     return [
-        ComparisonRow(base_m=m, samuelson=math.sqrt(m), **{
+        ComparisonRow(base_m=m, **{
             kind: search_outlier(kind, m + 1, target_kappa).a_statistic for kind in SHAPES
-        })
+        }, samuelson=math.sqrt(m))  # after the searches, which reject an m below 4
         for m in base_sizes
     ]

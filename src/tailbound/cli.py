@@ -160,16 +160,21 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _grid_cells(n: int, kappa_list: Sequence[float], cell) -> list:
+    """cell(n, kappa) for each kappa, the marker where it is out of domain."""
+    cells: list = []
+    for kappa in kappa_list:
+        try:
+            cells.append(cell(n, kappa))
+        except DomainError:
+            cells.append(INFEASIBLE_MARKER)
+    return cells
+
+
 def build_shock_table(n_list: Sequence[int], kappa_list: Sequence[float]) -> OutputDocument:
-    rows: list[list] = []
-    for n in n_list:
-        row: list = [n, samuelson_bound(n)]
-        for kappa in kappa_list:
-            try:
-                row.append(solve_extreme_point(n, kappa).a)
-            except DomainError:
-                row.append(INFEASIBLE_MARKER)
-        rows.append(row)
+    rows = [[n, samuelson_bound(n)]
+            + _grid_cells(n, kappa_list, lambda size, kappa: solve_extreme_point(size, kappa).a)
+            for n in n_list]
     return OutputDocument(
         title="extreme deviation by history length and kurtosis",
         columns=["N", "sqrt(N-1)"] + [f"kurtosis={k:g}" for k in kappa_list],
@@ -193,16 +198,7 @@ def build_bounds_table(method: str, n_list: Sequence[int] | None,
             return chebyshev_bounds.zelen_bound(sol.a, sol.theta3, kappa).one_in_n
         return chebyshev_bounds.bhattacharyya_bound(sol.a, sol.theta3, kappa).probability
 
-    rows: list[list] = []
-    for n in n_list:
-        row: list = [n]
-        for kappa in kappa_list:
-            try:
-                row.append(cell(n, kappa))
-            except DomainError:
-                row.append(INFEASIBLE_MARKER)
-        rows.append(row)
-
+    rows = [[n] + _grid_cells(n, kappa_list, cell) for n in n_list]
     titles = {
         "even-moment": "fourth-moment bound threshold (kappa*N)^(1/4) at probability 1/N",
         "zelen": "Zelen bound expressed as one-in-N at the extreme-point threshold",
@@ -281,10 +277,7 @@ def build_empirical(path: str, tail_factor: float) -> tuple[OutputDocument, int]
 
 
 def build_appendix(base_sizes: Sequence[int], kappa: float) -> OutputDocument:
-    rows = [
-        [r.base_m, r.samuelson, r.bimodal, r.trimodal, r.two_thirds, r.uniform]
-        for r in appendix_search.comparison_table(base_sizes, kappa)
-    ]
+    rows = [list(r) for r in appendix_search.comparison_table(base_sizes, kappa)]
     return OutputDocument(
         title=f"outlier deviation by base shape at kurtosis {kappa:g}",
         columns=["N-1", "sqrt(N-1)", "bimodal", "trimodal", "two_thirds", "uniform"],
@@ -407,10 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             doc = build_appendix(args.n, args.kappa)
             code = EXIT_OK
         _emit(doc, args)
-    except (_UsageError, CsvFormatError) as exc:
-        print(f"tailbound: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (_UsageError, CsvFormatError, OSError) as exc:
         print(f"tailbound: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TableLookupError, DomainError, SearchError) as exc:

@@ -206,22 +206,18 @@ def _student_t_log_tail(x: float, dof: int) -> tuple[float, float]:
     return log_sf, log_pdf
 
 
-def _student_t_sf(x: float, dof: int) -> float:
-    """Upper-tail probability P(T > x); exact symmetry about 0."""
-    if x == 0.0:
-        return 0.5
-    tail = math.exp(_student_t_log_tail(abs(x), dof)[0])
-    return tail if x > 0.0 else 1.0 - tail
-
-
 def student_t_cdf(x: float, dof: int) -> float:
-    """Student-t CDF with integer degrees of freedom.
+    """Student-t CDF with integer degrees of freedom; each tail is taken
+    directly, so the lower one keeps its relative accuracy.
 
     Raises:
         DomainError: dof < 1 or non-integer.
     """
     _validate_dof(dof)
-    return 1.0 - _student_t_sf(x, dof)
+    if x == 0.0:
+        return 0.5
+    tail = math.exp(_student_t_log_tail(abs(x), dof)[0])
+    return tail if x < 0.0 else 1.0 - tail
 
 
 def _hill_start(q: float, dof: int) -> float:

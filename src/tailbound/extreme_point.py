@@ -127,27 +127,49 @@ def feasible_kurtosis_range(n: float) -> KurtosisRange:
     )
 
 
+def _first_true(pred, lo: int, guess: int) -> int:
+    """Smallest integer n >= lo with pred(n), for a pred false then true on
+    n >= lo.  Probes guess, then 1, 2, 4, ... away from it until pred changes,
+    and bisects that bracket: O(log |guess - answer|) calls of pred."""
+    if guess < lo:
+        guess = lo
+    if pred(guess):
+        bad, good, step = lo - 1, guess, 1  # lo - 1 is never probed
+        while guess - step >= lo:
+            if not pred(guess - step):
+                bad = guess - step
+                break
+            good, step = guess - step, 2 * step
+    else:
+        bad, step = guess, 1
+        while not pred(guess + step):
+            bad, step = guess + step, 2 * step
+        good = guess + step
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        bad, good = (bad, mid) if pred(mid) else (mid, good)
+    return good
+
+
 def feasible_floor(kappa: float) -> int:
     """Smallest integer n >= 5 whose feasible kurtosis range contains kappa.
 
-    Feasibility in n is an up-set, so every larger n is feasible too.
+    Feasibility in n is an up-set, so every larger n is feasible too.  The
+    search from a float estimate costs time logarithmic in the estimate's
+    error, which is large above kappa ~ 1e21 and within ~ 1e-12 of 1.
 
     Raises:
         DomainError: kappa not a finite number above 1.
     """
     if not 1.0 < kappa < math.inf:
         raise DomainError(f"kurtosis must be a finite number above 1, got {kappa!r}")
-    # smallest n with kappa <= kappa_max(n): quadratic in n
+    # kappa <= kappa_max(n) is quadratic in n; its larger root, written with
+    # s = kappa + 3 so that it cannot overflow, is s*(1 + sqrt(1 - 4/s))/2
     s = kappa + 3.0
-    n = max(5, math.ceil(0.5 * (s + math.sqrt(s * s - 4.0 * s))))
+    guess = math.ceil(s * (0.5 + 0.5 * math.sqrt(1.0 - 4.0 / s)))
     if kappa <= 1.25:  # lower endpoint n/(n-1) binds instead
-        n = max(n, math.floor(kappa / (kappa - 1.0)) + 1)
-    # feasibility in n is an up-set, so correct the ceil in both directions
-    while kappa not in feasible_kurtosis_range(n):
-        n += 1
-    while n > 5 and kappa in feasible_kurtosis_range(n - 1):
-        n -= 1
-    return n
+        guess = max(guess, math.floor(kappa / (kappa - 1.0)) + 1)
+    return _first_true(lambda n: kappa in feasible_kurtosis_range(n), 5, guess)
 
 
 def solve_extreme_point(n: float, kappa: float) -> ExtremePointSolution:

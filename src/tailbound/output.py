@@ -61,10 +61,6 @@ class OutputDocument:
     def _cell_text(self, cell: Cell, precision: int) -> str:
         if cell is None:
             return ""
-        if isinstance(cell, bool):
-            return str(cell)
-        if isinstance(cell, int):
-            return str(cell)
         if isinstance(cell, float):
             if abs(cell) >= 1e16:  # fixed point would print every digit
                 return f"{cell:.{precision}e}"

@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .distributions import blr_tail_factor
 from .errors import DegenerateDataError, DomainError
 from .extreme_point import (
+    _first_true,
     feasible_floor,
     feasible_kurtosis_range,
     oracle_moments,
@@ -124,16 +125,19 @@ def max_safe_history(
     if required_tail_factor(ceiling, kappa) <= tail_factor:
         return None
     # invariant: a(lo) <= tail_factor < a(ceiling); the float crossing lands
-    # within a step of the integer one, so the walks below are short
-    n = min(max(lo, math.floor(_crossing(tail_factor, kappa))), ceiling - 1)
-    if required_tail_factor(n, kappa) <= tail_factor:
-        while n + 1 < ceiling and required_tail_factor(n + 1, kappa) <= tail_factor:
-            n += 1
-    else:
-        n -= 1
-        while n > lo and required_tail_factor(n, kappa) > tail_factor:
-            n -= 1
-    return n
+    # within a step of the first breach, so the search mostly makes two solves
+
+    def breached(n: int) -> bool:
+        return n >= ceiling or required_tail_factor(n, kappa) > tail_factor
+
+    return _first_true(breached, lo + 1, math.floor(_crossing(tail_factor, kappa)) + 1) - 1
+
+
+def _verdict(tail_factor: float, history_n: int, kappa: float, required: float,
+             safe_history: int | None) -> ModelVerdict:
+    margin = tail_factor - required
+    return ModelVerdict(tail_factor, int(history_n), kappa, required, margin,
+                        margin >= 0.0, safe_history)
 
 
 def validate_model(tail_factor: float, history_n: int, kappa: float) -> ModelVerdict:
@@ -144,17 +148,8 @@ def validate_model(tail_factor: float, history_n: int, kappa: float) -> ModelVer
         InfeasibleKurtosisError: kappa infeasible at history_n.
     """
     _check_tail_factor(tail_factor)
-    required = required_tail_factor(history_n, kappa)
-    margin = tail_factor - required
-    return ModelVerdict(
-        tail_factor=tail_factor,
-        history_n=int(history_n),
-        kappa=kappa,
-        required_a=required,
-        margin=margin,
-        passed=margin >= 0.0,
-        max_safe_history=max_safe_history(tail_factor, kappa),
-    )
+    return _verdict(tail_factor, history_n, kappa, required_tail_factor(history_n, kappa),
+                    max_safe_history(tail_factor, kappa))
 
 
 def validate_blr(g_inverse_label: str, kappa: float, history_n: int) -> ModelVerdict:
@@ -238,25 +233,12 @@ def empirical_validate(
         series = ReturnSeries.from_values(series)
     _check_tail_factor(tail_factor)
 
-    rng = feasible_kurtosis_range(series.n)
-    infeasible = series.kurtosis not in rng
+    infeasible = series.kurtosis not in feasible_kurtosis_range(series.n)
     if infeasible:
-        required = samuelson_bound(series.n)
-        safe_history = None
+        verdict = _verdict(tail_factor, series.n, series.kurtosis,
+                           samuelson_bound(series.n), None)
     else:
-        required = required_tail_factor(series.n, series.kurtosis)
-        safe_history = max_safe_history(tail_factor, series.kurtosis)
-
-    margin = tail_factor - required
-    verdict = ModelVerdict(
-        tail_factor=tail_factor,
-        history_n=series.n,
-        kappa=series.kurtosis,
-        required_a=required,
-        margin=margin,
-        passed=margin >= 0.0,
-        max_safe_history=safe_history,
-    )
+        verdict = validate_model(tail_factor, series.n, series.kurtosis)
     return EmpiricalVerdict(
         verdict=verdict,
         series=series,

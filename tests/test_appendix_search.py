@@ -208,6 +208,30 @@ def test_bimodal_at_a_billion_points_matches_closed_form():
     )
 
 
+def test_bimodal_just_inside_the_float_range_matches_closed_form():
+    n = 10**153 + 1
+    assert search_outlier("bimodal", n, 16.0).a_statistic == pytest.approx(
+        solve_extreme_point(n, 16.0).a, rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("kind, m", [
+    ("bimodal", 10**154), ("trimodal", 10**154),
+    ("bimodal", 10**200), ("trimodal", 10**200), ("two_thirds", 10**200),
+])
+def test_level_base_past_the_float_range_is_a_domain_error(kind, m):
+    # the kurtosis sums overflow there, so no bisection could reach the target
+    with pytest.raises(DomainError, match=f"a base of {m} points"):
+        search_outlier(kind, m + 1, 16.0)
+
+
+def test_two_thirds_base_at_1e154_still_reaches_the_target():
+    # its spread is 2/9 of a bimodal one, so its sums stay in range here
+    res = search_outlier("two_thirds", 10**154 + 1, 16.0)
+    assert abs(res.achieved_kappa - 16.0) < KAPPA_TOL
+    assert math.isfinite(res.a_statistic)
+
+
 def test_uniform_base_above_the_cap_is_a_domain_error(capsys):
     # the cap is checked before the grid is built, so this costs nothing
     with pytest.raises(DomainError, match="cap"):

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: formats, exit codes, file IO."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailbound import cli, construct_distribution, solve_extreme_point
@@ -632,3 +633,149 @@ def test_no_subcommand_is_usage_error(run_cli):
 def test_unknown_subcommand_is_usage_error(run_cli):
     res = run_cli("frobnicate")
     assert res.returncode == 1
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under generated input
+# ---------------------------------------------------------------------------
+
+HISTORY_FLOOR_FAR_FROM_ITS_ESTIMATE = [
+    ["validate", "--tail-factor", "3", "--history", str(10**154), "--kurtosis", "1e150"],
+    ["validate", "--tail-factor", "3", "--kurtosis", "1.0000000000009095",
+     "--history", "2000000000000"],
+]
+
+
+@pytest.mark.parametrize("argv", HISTORY_FLOOR_FAR_FROM_ITS_ESTIMATE,
+                         ids=["kurtosis-1e150", "kurtosis-near-1"])
+def test_history_floor_far_from_its_estimate_exits_3_promptly(run_cli, argv):
+    # the feasibility floor of these kurtoses lies many sizes from its float
+    # estimate; the timeout fails a search that walks there one size at a time
+    res = run_cli(*argv, timeout=10)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert "no feasible history length" in res.stderr
+
+
+_CSV_PATH = "<csv>"  # replaced by the path of the generated file
+_FLOAT = st.one_of(
+    st.floats().map(repr),
+    st.floats(1.0, 1e3).map(repr),
+    st.sampled_from(["nan", "inf", "1e308", "1e-320", "0", "1", "-1", "7", "16", "abc", ""]),
+)
+_INT = st.one_of(
+    st.integers(-10, 10**7),
+    st.sampled_from([10**153, 10**154, 10**200, 10**400]),
+).map(str)
+_BLR_LABEL = st.sampled_from(["1m", "3m", "6m", "7m", "x"])
+_OUTPUT = st.builds(lambda fmt, precision: ["--format", fmt, "--precision", str(precision)],
+                    st.sampled_from(["csv", "json", "markdown"]), st.integers(-1, 18))
+
+
+def _args(*parts):
+    """argv from lists of arguments and strategies for them."""
+    return st.tuples(*(p if isinstance(p, st.SearchStrategy) else st.just(p)
+                       for p in parts)).map(lambda ps: [a for p in ps for a in p])
+
+
+def _flag(name, values, optional=True):
+    """[name, value] (the list spliced in when the value is a list), or
+    sometimes [] when optional."""
+    flag = values.map(lambda v: [name, *(v if isinstance(v, list) else [v])])
+    return st.one_of(st.just([]), flag) if optional else flag
+
+
+def _mixture_csv(rows, seed, scale):
+    rng = random.Random(seed)
+    return "\n".join(repr(scale * rng.gauss(0.0, 1.0) * math.exp(rng.gauss(0.0, 0.5)))
+                     for _ in range(rows)).encode()
+
+
+_CSV_VALUE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([1e308, -1e308, 5e-324])).map(repr)
+_CSV_LINE = st.one_of(
+    _CSV_VALUE,
+    _CSV_VALUE.map(lambda v: f"2024-01-02,{v}"),
+    st.sampled_from(["", "date,return", "return", "a,b,c", "nan", "1,2,3", '"1"']),
+    st.text(max_size=8),
+)
+_CSV = st.one_of(
+    st.lists(_CSV_LINE, max_size=30).map(lambda lines: "\n".join(lines).encode()),
+    st.builds(_mixture_csv, st.integers(5, 2000), st.integers(0, 2**16),
+              st.sampled_from([1e-300, 1e-90, 0.01, 1e90, 1e300])),
+    st.sampled_from([b"1\n2\n\xff\xfe\n3\n", b"9" * 200_000 + b"\n"]),
+)
+
+_CLI_CASE = st.one_of(
+    st.tuples(_args(["shock-table"], _flag("--n", st.lists(_INT, min_size=1, max_size=3)),
+                    _flag("--kurtosis", st.lists(_FLOAT, min_size=1, max_size=3)), _OUTPUT),
+              st.none()),
+    st.tuples(_args(["bounds"], _flag("--method", st.sampled_from(
+                        ["even-moment", "zelen", "bhattacharyya"]), optional=False),
+                    _flag("--n", st.lists(_INT, min_size=1, max_size=3)),
+                    _flag("--kurtosis", st.lists(_FLOAT, min_size=1, max_size=3)), _OUTPUT),
+              st.none()),
+    st.tuples(_args(["tail-factor"], _flag("--model", st.sampled_from(["normal", "student-t"]),
+                                           optional=False),
+                    _flag("--dof", st.integers(-2, 10**6).map(str)),
+                    _flag("--horizon", _FLOAT, optional=False), _OUTPUT),
+              st.none()),
+    st.tuples(_args(["validate"], st.one_of(
+                        _flag("--tail-factor", _FLOAT, optional=False),
+                        _args(["--blr"], _flag("--g-inv", _BLR_LABEL, optional=False)),
+                        _args(_flag("--tail-factor", _FLOAT), _flag("--blr", st.just([])),
+                              _flag("--g-inv", _BLR_LABEL))),
+                    _flag("--kurtosis", _FLOAT, optional=False),
+                    _flag("--history", _INT, optional=False),
+                    _flag("--days-per-year", _INT), _OUTPUT),
+              st.none()),
+    st.tuples(_args(["empirical", _CSV_PATH], _flag("--tail-factor", _FLOAT, optional=False),
+                    _OUTPUT),
+              _CSV),
+    # every appendix row runs a uniform search, O(m) in time and memory
+    st.tuples(_args(["appendix"], _flag("--n", st.lists(
+                        st.integers(-5, 3000).map(str), min_size=1, max_size=2)),
+                    _flag("--kappa", _FLOAT), _OUTPUT),
+              st.none()),
+)
+
+
+@settings(max_examples=300)
+@example(case=(["bounds", "--method", "even-moment", "--kurtosis", "inf", "--format", "json"],
+               None))
+@example(case=(["appendix", "--n", "100000000"], None))
+@example(case=(["appendix", "--n", str(10**200), "--format", "json"], None))
+@example(case=(["appendix", "--n", "5", "--kappa", "nan"], None))
+@example(case=(["tail-factor", "--model", "student-t", "--dof", "0", "--horizon", "10"], None))
+@example(case=(["shock-table", "--n", str(10**160)], None))
+@example(case=(["validate", "--tail-factor", "3", "--kurtosis", "7",
+                "--history", str(10**160)], None))
+@example(case=(["validate", "--blr", "--g-inv", "6m", "--kurtosis", "7", "--history", "500",
+                "--days-per-year", "0"], None))
+@example(case=(HISTORY_FLOOR_FAR_FROM_ITS_ESTIMATE[0], None))
+@example(case=(HISTORY_FLOOR_FAR_FROM_ITS_ESTIMATE[1], None))
+@example(case=(["empirical", _CSV_PATH, "--tail-factor", "5", "--format", "json"],
+               b"1e308\n1\n2\n3\n4\n5\n"))
+@example(case=(["empirical", _CSV_PATH, "--tail-factor", "5"], b"1\n2\n\xff\xfe\n3\n"))
+@example(case=(["empirical", _CSV_PATH, "--tail-factor", "5"], b"9" * 200_000 + b"\n"))
+@given(case=_CLI_CASE)
+def test_cli_keeps_the_exit_code_contract(tmp_path_factory, time_limit, case):
+    argv, data = case
+    if data is not None:
+        path = tmp_path_factory.getbasetemp() / "generated.csv"
+        path.write_bytes(data)
+        argv = [str(path) if a == _CSV_PATH else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(10), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if err.startswith("tailbound: infeasible:"):
+        assert code == 3 and out == ""
+    formats = [b for a, b in zip(argv, argv[1:]) if a == "--format"]
+    if formats and formats[-1] == "json" and out:
+        jsonschema.validate(json.loads(out, parse_constant=_no_constants), SCHEMA)

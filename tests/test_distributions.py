@@ -134,6 +134,11 @@ def test_student_t_cdf_matches_scipy_grid():
             assert student_t_cdf(x, dof) == pytest.approx(
                 scipy.stats.t.cdf(x, dof), abs=1e-12, rel=1e-10
             )
+        # deep in the lower tail the CDF is the tail itself, not 1 - (1 - tail)
+        for x in (-1e3, -1e6, -1e10):
+            assert student_t_cdf(x, dof) == pytest.approx(
+                scipy.stats.t.cdf(x, dof), abs=0.0, rel=1e-11
+            )
 
 
 def test_student_t_rejects_bad_inputs():

@@ -1,6 +1,7 @@
 """Extreme-point closed form against the brute-force moment oracle."""
 
 import math
+import subprocess
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from tailbound import (
     ReturnSeries,
     asymptotic_a,
     construct_distribution,
+    feasible_floor,
     feasible_kurtosis_range,
     oracle_moments,
     samuelson_bound,
@@ -67,6 +69,45 @@ def test_range_rejects_small_n():
     for n in (4, 4.999, 3, 0, -7):
         with pytest.raises(DomainError):
             feasible_kurtosis_range(n)
+
+
+def _floor_by_bisection(kappa):
+    """Smallest n >= 5 with kappa in feasible_kurtosis_range(n), by plain
+    bisection below a feasible size found by doubling."""
+    hi = int(kappa) + 5  # kappa_max(hi) > kappa + 2; kappa_min may bind
+    while kappa not in feasible_kurtosis_range(hi):
+        hi *= 2
+    lo = 4  # below every feasible size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid >= 5 and kappa in feasible_kurtosis_range(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@given(st.floats(min_value=-52.0, max_value=math.log2(1.7e308)))
+def test_feasible_floor_matches_bisection(time_limit, log2_excess):
+    # kappa - 1 log-uniform from 2**-52 to 1.7e308 reaches both ends where
+    # the float estimate is many sizes off
+    kappa = 1.0 + 2.0**log2_excess
+    with time_limit(5):
+        assert feasible_floor(kappa) == _floor_by_bisection(kappa)
+
+
+FLOOR_EXTREMES = [1e22, 1e150, 1e300, 1.0 + 2**-40, 1.0 + 2**-52, sys.float_info.max]
+
+
+def test_feasible_floor_at_the_extremes_is_exact_and_quick():
+    # a walk of one size at a time takes minutes here; the subprocess
+    # timeout turns such a walk into a failure, not a stalled suite
+    code = (f"from tailbound import feasible_floor\n"
+            f"for k in {FLOOR_EXTREMES!r}: print(feasible_floor(k))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=10)
+    assert res.returncode == 0, res.stderr
+    assert list(map(int, res.stdout.split())) == list(map(_floor_by_bisection, FLOOR_EXTREMES))
 
 
 # ---------------------------------------------------------------------------
