@@ -48,7 +48,9 @@ from .extreme_point import _binary_levels, _central_sums, _wsum
 __all__ = ["SHAPES", "KAPPA_TOL", "OutlierSearchResult", "ComparisonRow", "generate_base",
            "search_outlier", "search_outlier_on_points", "comparison_table"]
 
-#: absolute kurtosis tolerance the search drives the dataset to
+#: kurtosis tolerance the search drives the dataset to: absolute up to a
+#: target of 1000, relative above it (KAPPA_TOL * target/1000), where the
+#: rounding error of the kurtosis itself outgrows an absolute 1e-9
 KAPPA_TOL = 1e-9
 
 #: largest uniform base: a search at the cap took 4.8 s and 588 MB peak RSS
@@ -123,7 +125,7 @@ def generate_base(kind: str, m: int) -> list[float]:
 def search_outlier_on_points(base_points: Sequence[float],
                              target_kappa: float) -> OutlierSearchResult:
     """Tune an outlier above max(base_points) until the dataset kurtosis hits
-    target_kappa, to within KAPPA_TOL.
+    target_kappa, to within KAPPA_TOL (relative above a target of 1000).
 
     Raises:
         DomainError: a non-finite target_kappa, fewer than 4 base points, or
@@ -211,17 +213,18 @@ def _search(values, exps, m, bottom, lo, target_kappa) -> OutlierSearchResult:
         k_prev, hi = k_hi, lo + span
         k_hi = kappa_at(hi)
 
+    tol = KAPPA_TOL * max(1.0, target_kappa / 1000.0)
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         k_mid = kappa_at(mid)
-        if abs(k_mid - target_kappa) < KAPPA_TOL:
+        if abs(k_mid - target_kappa) < tol:
             x = mid
             break
         lo, hi = (mid, hi) if k_mid < target_kappa else (lo, mid)
         if hi - lo <= abs(mid) * 1e-15:
             raise SearchError(
                 f"bisection exhausted float resolution at kurtosis {k_mid!r} "
-                f"without reaching {target_kappa!r} +- {KAPPA_TOL}"
+                f"without reaching {target_kappa!r} +- {tol}"
             )
     else:
         raise SearchError("outlier bisection did not converge")

@@ -10,8 +10,9 @@ The solvers take the upper-tail mass q itself (``normal_isf``,
 its digits up to the largest float horizon; ``*_quantile(p)`` are thin
 wrappers that hand the smaller tail of p to them.
 
-* normal: Acklam's rational start refined by Newton steps against an
-  erfc-based survival function;
+* normal: the rational start of Abramowitz & Stegun 26.2.23 (Handbook of
+  Mathematical Functions, 1964; error below 4.5e-4) refined by three Newton
+  steps against an erfc-based survival function;
 * Student-t: Hill's closed-form start (G. W. Hill, "Algorithm 396:
   Student's t-quantiles", CACM 13(10), 1970), exact for dof 1 and 2,
   finished by safeguarded Newton steps on the log-survival function.  The
@@ -20,8 +21,10 @@ wrappers that hand the smaller tail of p to them.
   density underflows.
 
 Against scipy's survival function, sf(isf(q))/q - 1 stays within 1e-11 for
-the normal and for dof <= 1000, and within 1e-9 up to dof 1e5 (lgamma
-cancellation in the incomplete-beta front factor), for q from 1e-300 to 1/2.
+the normal for q from 1/1.7e308 to 1/2.  For Student-t, with q from 1e-300
+to 1/2, it stays within 1e-11 for dof <= 1000, 1e-9 up to dof 1e5 and 2e-8
+up to dof 1e6; lgamma cancellation in the incomplete-beta front factor costs
+the digits, and above dof 10**6 the tail and quantile raise DomainError.
 
 The Brace-Lauer-Rado (BLR) stochastic-volatility shock model enters through
 its kurtosis link kappa = 3*exp(h**2/(2g)) and through its published 1-day
@@ -65,49 +68,17 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _normal_sf(x: float) -> float:
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
-def _normal_pdf(x: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
-# Acklam's rational approximation to the normal quantile (|error| < 1.15e-9
-# before refinement).  Coefficients are the standard published set.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-_ACKLAM_LOW = 0.02425
-
-
-def _acklam(p: float) -> float:
-    """Acklam's start for the lower-tail deviate at p <= 1/2 (normal_isf
-    folds the upper tail onto it)."""
-    if p < _ACKLAM_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        a, b, c, d, e, f = _ACKLAM_C
-        num = ((((a * q + b) * q + c) * q + d) * q + e) * q + f
-        g, h, i, j = _ACKLAM_D
-        den = (((g * q + h) * q + i) * q + j) * q + 1.0
-        return num / den
-    q = p - 0.5
-    r = q * q
-    a, b, c, d, e, f = _ACKLAM_A
-    num = (((((a * r + b) * r + c) * r + d) * r + e) * r + f) * q
-    g, h, i, j, k = _ACKLAM_B
-    den = ((((g * r + h) * r + i) * r + j) * r + k) * r + 1.0
-    return num / den
-
-
 def _check_tail_mass(q: float) -> None:
     if not 0.0 < q < 1.0:
         raise DomainError(f"tail mass must lie in (0, 1), got {q!r}")
+
+
+def _lower_tail(isf, p: float, *args) -> float:
+    """The quantile at lower-tail probability p, from an upper-tail solver
+    handed the smaller tail of p."""
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"probability must lie in (0, 1), got {p!r}")
+    return -isf(p, *args) if p < 0.5 else isf(1.0 - p, *args)
 
 
 def normal_isf(q: float) -> float:
@@ -119,9 +90,14 @@ def normal_isf(q: float) -> float:
     _check_tail_mass(q)
     if q > 0.5:
         return -normal_isf(1.0 - q)  # 1 - q exact here
-    x = -_acklam(q)
+    if q == 0.5:
+        return 0.0
+    # Abramowitz & Stegun 26.2.23: |error| < 4.5e-4 for q <= 1/2
+    t = math.sqrt(-2.0 * math.log(q))
+    x = t - ((0.010328 * t + 0.802853) * t + 2.515517) / (
+        ((0.001308 * t + 0.189269) * t + 1.432788) * t + 1.0)
     for _ in range(3):
-        x += (_normal_sf(x) - q) / _normal_pdf(x)
+        x += (normal_cdf(-x) - q) / (_INV_SQRT_2PI * math.exp(-0.5 * x * x))
     return x
 
 
@@ -131,9 +107,7 @@ def normal_quantile(p: float) -> float:
     Raises:
         DomainError: p outside the open interval (0, 1).
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"probability must lie in (0, 1), got {p!r}")
-    return -normal_isf(p) if p < 0.5 else normal_isf(1.0 - p)
+    return _lower_tail(normal_isf, p)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +156,20 @@ def _validate_dof(dof: int) -> None:
         raise DomainError(f"degrees of freedom must be a positive integer, got {dof!r}")
 
 
+#: Largest dof the Student-t tail accepts: above it lgamma(a + 1/2) - lgamma(a)
+#: cancels, and the tail and quantile go wrong without any error.
+_DOF_MAX = 10**6
+
+
+def _validate_tail_dof(dof: int) -> None:
+    _validate_dof(dof)
+    if dof > _DOF_MAX:
+        raise DomainError(
+            f"degrees of freedom above {_DOF_MAX} are not supported (the Student-t "
+            f"tail loses its accuracy there), got {dof!r}"
+        )
+
+
 def _student_t_log_tail(x: float, dof: int) -> tuple[float, float]:
     """(log P(T > x), log pdf(x)) for x > 0, free of overflow and underflow.
 
@@ -211,9 +199,9 @@ def student_t_cdf(x: float, dof: int) -> float:
     directly, so the lower one keeps its relative accuracy.
 
     Raises:
-        DomainError: dof < 1 or non-integer.
+        DomainError: dof < 1, above 10**6, or non-integer.
     """
-    _validate_dof(dof)
+    _validate_tail_dof(dof)
     if x == 0.0:
         return 0.5
     tail = math.exp(_student_t_log_tail(abs(x), dof)[0])
@@ -265,10 +253,10 @@ def student_t_isf(q: float, dof: int) -> float:
     smallest tail masses.
 
     Raises:
-        DomainError: q outside (0, 1), or invalid dof.
+        DomainError: q outside (0, 1), or dof not an integer in 1..10**6.
         SearchError: Newton did not settle within its iteration cap.
     """
-    _validate_dof(dof)
+    _validate_tail_dof(dof)
     _check_tail_mass(q)
     if q > 0.5:
         return -student_t_isf(1.0 - q, dof)  # 1 - q exact here
@@ -298,12 +286,10 @@ def student_t_quantile(p: float, dof: int) -> float:
     """Inverse Student-t CDF (raw quantile); solved on the smaller tail of p.
 
     Raises:
-        DomainError: p outside (0, 1), or invalid dof.
+        DomainError: p outside (0, 1), or dof not an integer in 1..10**6.
         SearchError: the solver did not converge.
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"probability must lie in (0, 1), got {p!r}")
-    return -student_t_isf(p, dof) if p < 0.5 else student_t_isf(1.0 - p, dof)
+    return _lower_tail(student_t_isf, p, dof)
 
 
 def student_t_kurtosis(dof: int, convention: str = "raw") -> float:

@@ -120,10 +120,13 @@ def feasible_kurtosis_range(n: float) -> KurtosisRange:
     """
     if not n >= 5:
         raise DomainError(f"sample size must be at least 5, got {n!r}")
+    # an integral float n takes its int's exact, correctly rounded endpoints,
+    # so n * n cannot overflow and a float n matches its int
+    m = int(n) if isinstance(n, float) and n.is_integer() else n
     return KurtosisRange(
         n=n,
-        kappa_min=n / (n - 1),
-        kappa_max=(n * n - 3 * n + 3) / (n - 1),
+        kappa_min=m / (m - 1),
+        kappa_max=(m * m - 3 * m + 3) / (m - 1),
     )
 
 

@@ -208,6 +208,15 @@ def test_bimodal_at_a_billion_points_matches_closed_form():
     )
 
 
+def test_bimodal_reaches_a_kurtosis_of_a_million():
+    # an absolute 1e-9 is below the rounding error of the kurtosis here, so
+    # the tolerance is relative above a target of 1000
+    n = 10**12 + 1
+    res = search_outlier("bimodal", n, 1e6)
+    assert res.achieved_kappa == pytest.approx(1e6, rel=1e-12)
+    assert res.a_statistic == pytest.approx(solve_extreme_point(n, 1e6).a, rel=1e-9)
+
+
 def test_bimodal_just_inside_the_float_range_matches_closed_form():
     n = 10**153 + 1
     assert search_outlier("bimodal", n, 16.0).a_statistic == pytest.approx(

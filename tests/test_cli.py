@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -190,6 +191,17 @@ def test_tail_factor_warns_only_for_an_accepted_low_dof(dof, code, capsys):
                      "--horizon", "10"]) == code
     _, err = capsys.readouterr()
     assert ("infinite variance" in err) == (code == 0)
+
+
+@pytest.mark.parametrize("dof", [10**6 + 1, 10**20, 10**300])
+def test_tail_factor_dof_above_the_limit_exits_3(dof, capsys):
+    # past 10**6 the Student-t tail went wrong without an error, and 10**20
+    # and 10**300 ended in tracebacks
+    assert cli.main(["tail-factor", "--model", "student-t", "--dof", str(dof),
+                     "--horizon", "10"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("tailbound: infeasible: degrees of freedom above 1000000")
 
 
 def test_tail_factor_flag_misuse(run_cli):
@@ -717,7 +729,7 @@ _CLI_CASE = st.one_of(
               st.none()),
     st.tuples(_args(["tail-factor"], _flag("--model", st.sampled_from(["normal", "student-t"]),
                                            optional=False),
-                    _flag("--dof", st.integers(-2, 10**6).map(str)),
+                    _flag("--dof", st.integers(-2, int(sys.float_info.max)).map(str)),
                     _flag("--horizon", _FLOAT, optional=False), _OUTPUT),
               st.none()),
     st.tuples(_args(["validate"], st.one_of(

@@ -177,19 +177,28 @@ def _check_isf(x, q, sf, isf, tol):
         assert x == pytest.approx(ref, rel=tol)
 
 
-@given(log_horizons)
+@given(st.floats(min_value=math.log(2.0), max_value=math.log(1.7e308)))
 def test_normal_isf_matches_scipy(log_h):
     q = 1.0 / max(2.0, math.exp(log_h))
     _check_isf(normal_isf(q), q, scipy.stats.norm.sf, scipy.stats.norm.isf, 1e-11)
 
 
-@given(log_horizons, st.floats(min_value=0.0, max_value=math.log(1e5)))
+@given(st.floats(min_value=math.log(1.0 / 1.7e308), max_value=math.log(0.4)))
+def test_normal_isf_is_within_8_ulps_of_scipy(log_q):
+    # above 0.4 the deviate nears 0, and the rounding of the Newton residual
+    # normal_cdf(-x) - q spans many ulps of it
+    q = math.exp(log_q)
+    ref = scipy.stats.norm.isf(q)
+    assert abs(normal_isf(q) - ref) <= 8 * math.ulp(ref)
+
+
+@given(log_horizons, st.floats(min_value=0.0, max_value=math.log(1e6)))
 def test_student_t_isf_matches_scipy(log_h, log_dof):
     q = 1.0 / max(2.0, math.exp(log_h))
     dof = round(math.exp(log_dof))
     # 1e-11 through dof 1000; beyond, lgamma cancellation in the
-    # incomplete-beta front factor costs accuracy, hence 1e-9
-    tol = 1e-11 if dof <= 1000 else 1e-9
+    # incomplete-beta front factor costs accuracy: 1e-9 to dof 1e5, 2e-8 to 1e6
+    tol = 1e-11 if dof <= 1000 else 1e-9 if dof <= 10**5 else 2e-8
     _check_isf(student_t_isf(q, dof), q, _t_sf(dof), lambda q: scipy.stats.t.isf(q, dof), tol)
 
 
@@ -213,6 +222,22 @@ def test_isf_symmetry_and_centre():
         assert student_t_isf(1.0 - q, 5) == -student_t_isf(1.0 - (1.0 - q), 5)
         assert normal_quantile(q) == -normal_isf(q)
         assert student_t_quantile(q, 5) == -student_t_isf(q, 5)
+
+
+@pytest.mark.parametrize("dof", [10**6 + 1, 10**7, 629137366261923, 10**20, 10**300])
+def test_student_t_dof_above_the_limit_is_a_domain_error(dof):
+    # lgamma cancellation made these silently wrong (or a traceback)
+    with pytest.raises(DomainError, match="above 1000000"):
+        student_t_isf(1e-3, dof)
+    with pytest.raises(DomainError, match="above 1000000"):
+        student_t_cdf(3.0, dof)
+    assert student_t_kurtosis(dof) == 3.0 + 6.0 / (dof - 4)
+
+
+def test_student_t_dof_at_the_limit_is_accepted():
+    x = student_t_isf(1e-3, 10**6)
+    assert scipy.stats.t.sf(x, 10**6) == pytest.approx(1e-3, rel=2e-8)
+    assert student_t_cdf(3.0, 10**6) == pytest.approx(scipy.stats.t.cdf(3.0, 10**6), rel=1e-12)
 
 
 def test_isf_rejects_bad_tail_mass():

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tailbound import (
@@ -175,15 +175,27 @@ def test_integer_n_past_the_float_squares_solves():
     assert math.isfinite(sol.theta3)
 
 
-@pytest.mark.parametrize("n, kappa", [
-    (1e200, 1e150),
-    (1e200, math.inf),  # kappa_max overflows to inf at a float n this large
-    (10**200, float(10**200 - 2)),  # the Samuelson endpoint
+@pytest.mark.parametrize("n, kappa, error, match", [
+    (1e200, 1e150, DomainError, "float range"),
+    # an integral float n takes its int's endpoints, so kappa_max is finite
+    (1e200, math.inf, InfeasibleKurtosisError, r"\(1\.0, 1e\+200\]"),
+    (10**200, float(10**200 - 2), DomainError, "float range"),  # the Samuelson endpoint
 ], ids=["float-n", "infinite-kappa", "int-n-at-endpoint"])
-def test_kurtosis_times_n_past_the_float_range_is_a_domain_error(n, kappa):
-    with pytest.raises(DomainError, match="float range") as err:
+def test_kurtosis_times_n_past_the_float_range_is_a_domain_error(n, kappa, error, match):
+    with pytest.raises(error, match=match) as err:
         solve_extreme_point(n, kappa)
-    assert not isinstance(err.value, InfeasibleKurtosisError)
+    assert type(err.value) is error
+
+
+@example(5637874215377909)
+@given(st.one_of(st.integers(min_value=5, max_value=2**63),
+                 st.floats(min_value=5.0, max_value=sys.float_info.max).map(math.floor)))
+def test_integral_float_n_has_the_range_of_its_int(k):
+    n = float(k)
+    rng = feasible_kurtosis_range(n)
+    assert rng[1:] == feasible_kurtosis_range(int(n))[1:]
+    if n < 1e150:  # n * kappa_max fits a float: the Samuelson endpoint solves
+        assert solve_extreme_point(n, rng.kappa_max).b_squared == 0.0
 
 
 @settings(max_examples=300)
