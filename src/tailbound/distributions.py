@@ -96,8 +96,13 @@ def normal_isf(q: float) -> float:
     t = math.sqrt(-2.0 * math.log(q))
     x = t - ((0.010328 * t + 0.802853) * t + 2.515517) / (
         ((0.001308 * t + 0.189269) * t + 1.432788) * t + 1.0)
+    # the residual sf(x) - q: near the centre as (1/2 - q) - erf(x/sqrt 2)/2,
+    # whose 1/2 - q is exact for q >= 1/4 (Sterbenz) and whose erf keeps the
+    # relative accuracy that erfc loses as x nears 0
+    c = 0.5 - q
     for _ in range(3):
-        x += (normal_cdf(-x) - q) / (_INV_SQRT_2PI * math.exp(-0.5 * x * x))
+        r = normal_cdf(-x) - q if q < 0.25 else c - 0.5 * math.erf(x / _SQRT2)
+        x += r / (_INV_SQRT_2PI * math.exp(-0.5 * x * x))
     return x
 
 

@@ -118,24 +118,23 @@ def feasible_kurtosis_range(n: float) -> KurtosisRange:
         DomainError: for n < 5 (the quadratic degenerates at n = 3 and the
             background needs at least two points per level).
     """
+    return KurtosisRange(n, *_kappa_bounds(n))
+
+
+def _kappa_bounds(n: float) -> tuple[float, float]:
+    """(kappa_min, kappa_max) of :func:`feasible_kurtosis_range`, unwrapped."""
     if not n >= 5:
         raise DomainError(f"sample size must be at least 5, got {n!r}")
     # an integral float n takes its int's exact, correctly rounded endpoints,
     # so n * n cannot overflow and a float n matches its int
     m = int(n) if isinstance(n, float) and n.is_integer() else n
-    return KurtosisRange(
-        n=n,
-        kappa_min=m / (m - 1),
-        kappa_max=(m * m - 3 * m + 3) / (m - 1),
-    )
+    return m / (m - 1), (m * m - 3 * m + 3) / (m - 1)
 
 
 def _first_true(pred, lo: int, guess: int) -> int:
     """Smallest integer n >= lo with pred(n), for a pred false then true on
-    n >= lo.  Probes guess, then 1, 2, 4, ... away from it until pred changes,
-    and bisects that bracket: O(log |guess - answer|) calls of pred."""
-    if guess < lo:
-        guess = lo
+    n >= lo.  Probes guess >= lo, then 1, 2, 4, ... away from it until pred
+    changes, and bisects that bracket: O(log |guess - answer|) calls of pred."""
     if pred(guess):
         bad, good, step = lo - 1, guess, 1  # lo - 1 is never probed
         while guess - step >= lo:
@@ -169,10 +168,15 @@ def feasible_floor(kappa: float) -> int:
     # kappa <= kappa_max(n) is quadratic in n; its larger root, written with
     # s = kappa + 3 so that it cannot overflow, is s*(1 + sqrt(1 - 4/s))/2
     s = kappa + 3.0
-    guess = math.ceil(s * (0.5 + 0.5 * math.sqrt(1.0 - 4.0 / s)))
+    guess = max(5, math.ceil(s * (0.5 + 0.5 * math.sqrt(1.0 - 4.0 / s))))
     if kappa <= 1.25:  # lower endpoint n/(n-1) binds instead
         guess = max(guess, math.floor(kappa / (kappa - 1.0)) + 1)
-    return _first_true(lambda n: kappa in feasible_kurtosis_range(n), 5, guess)
+
+    def feasible(n: int) -> bool:
+        k_min, k_max = _kappa_bounds(n)
+        return k_min < kappa <= k_max
+
+    return _first_true(feasible, 5, guess)
 
 
 def solve_extreme_point(n: float, kappa: float) -> ExtremePointSolution:
@@ -186,9 +190,18 @@ def solve_extreme_point(n: float, kappa: float) -> ExtremePointSolution:
         DomainError: n < 5, or n*kappa past the float range.
         InfeasibleKurtosisError: kappa outside (kappa_min, kappa_max].
     """
-    rng = feasible_kurtosis_range(n)
-    if kappa not in rng:
-        raise InfeasibleKurtosisError(n, kappa, rng.kappa_min, rng.kappa_max)
+    nf, g, a_sq, b_sq = _solve(n, kappa)
+    a = math.sqrt(a_sq)
+    theta3 = a / (nf - 1) * ((nf + 1) / (nf - 1) * (a * a) - 3.0)
+    return ExtremePointSolution(n, kappa, g, a, b_sq, theta3, math.sqrt(n - 1))
+
+
+def _solve(n: float, kappa: float) -> tuple[float, float, float, float]:
+    """(float(n), G, a**2, b**2) of :func:`solve_extreme_point`, without its
+    named tuple, for callers that need only a; raises as that function does."""
+    k_min, k_max = _kappa_bounds(n)
+    if not k_min < kappa <= k_max:
+        raise InfeasibleKurtosisError(n, kappa, k_min, k_max)
 
     # ratios of a float n keep every intermediate near the size of the
     # result, so neither a huge int n nor (n-1)**2 overflows
@@ -196,32 +209,20 @@ def solve_extreme_point(n: float, kappa: float) -> ExtremePointSolution:
     r = (nf - 1) / (nf + 1)
     g = r * ((nf - 1) / (nf - 3)) * (nf - (nf - 1) * kappa)
 
-    if kappa == rng.kappa_max and g > -math.inf:
+    if kappa == k_max and g > -math.inf:
         # Samuelson endpoint (an overflowed g goes on to the DomainError
         # below): exact arithmetic avoids a root-cancellation wobble of
         # order 1e-16 that would make b_squared dip negative.
-        a_sq = nf - 1.0
+        return nf, g, nf - 1.0, 0.0
+    a_sq = r + math.sqrt(r * r - g)
+    b_sq = nf / (nf - 1) - a_sq / (nf - 1) * nf / (nf - 1)
+    if b_sq < 0.0:
+        if g == -math.inf:  # (n-1)*kappa overflowed, so a_sq is inf
+            raise DomainError(f"n*kappa = {n!r}*{kappa!r} is past the float range")
+        if b_sq < -1e-9:  # cannot happen inside the feasible range
+            raise InfeasibleKurtosisError(n, kappa, k_min, k_max)
         b_sq = 0.0
-    else:
-        a_sq = r + math.sqrt(r * r - g)
-        b_sq = nf / (nf - 1) - a_sq / (nf - 1) * nf / (nf - 1)
-        if b_sq < 0.0:
-            if g == -math.inf:  # (n-1)*kappa overflowed, so a_sq is inf
-                raise DomainError(f"n*kappa = {n!r}*{kappa!r} is past the float range")
-            if b_sq < -1e-9:  # cannot happen inside the feasible range
-                raise InfeasibleKurtosisError(n, kappa, rng.kappa_min, rng.kappa_max)
-            b_sq = 0.0
-
-    a = math.sqrt(a_sq)
-    return ExtremePointSolution(
-        n=n,
-        kappa=kappa,
-        g_value=g,
-        a=a,
-        b_squared=b_sq,
-        theta3=a / (nf - 1) * ((nf + 1) / (nf - 1) * (a * a) - 3.0),
-        samuelson_bound=math.sqrt(n - 1),
-    )
+    return nf, g, a_sq, b_sq
 
 
 def third_moment(solution: ExtremePointSolution) -> float:

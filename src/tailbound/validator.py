@@ -19,11 +19,11 @@ from .distributions import blr_tail_factor
 from .errors import DegenerateDataError, DomainError
 from .extreme_point import (
     _first_true,
+    _kappa_bounds,
+    _solve,
     feasible_floor,
-    feasible_kurtosis_range,
     oracle_moments,
     samuelson_bound,
-    solve_extreme_point,
 )
 
 __all__ = [
@@ -62,7 +62,7 @@ class ModelVerdict(NamedTuple):
 
 def required_tail_factor(history_n: float, kappa: float) -> float:
     """Largest standardised deviation an (history_n, kappa) sample admits."""
-    return solve_extreme_point(history_n, kappa).a
+    return math.sqrt(_solve(history_n, kappa)[2])  # item 2 is a**2
 
 
 def _check_tail_factor(tail_factor: float) -> None:
@@ -85,12 +85,13 @@ def _crossing(tail_factor: float, kappa: float) -> float:
     stop when rounding no longer lets them descend.
     """
     big_a = tail_factor * tail_factor
-    p = (big_a - 1.0) ** 2 / (kappa - 1.0)
+    p = (big_a - 1.0) * (big_a - 1.0) / (kappa - 1.0)  # ** 2 would raise on overflow
     q = 4.0 * big_a / (kappa - 1.0)
     s = big_a * q
-    m = p + q / p
+    m = p + q / p if p else 0.0  # p is 0 only within 1.5e-8 of 1, below every a(n)
     while True:
-        m_next = m - (((m - p) * m - q) * m + s) / ((3.0 * m - 2.0 * p) * m - q)
+        d = (3.0 * m - 2.0 * p) * m - q  # slope; 0 only past a root-free minimum
+        m_next = m - (((m - p) * m - q) * m + s) / d if d > 0.0 else m
         if not m_next < m:
             return m + 1.0
         m = m_next
@@ -102,10 +103,10 @@ def max_safe_history(
     """Largest history length n whose bound still fits under tail_factor.
 
     The extreme deviation a(n, kappa) grows with n.  Inverting its closed
-    form (a cubic in n) gives the real crossing; its floor, checked against
-    a(n) at the neighbours, is the answer -- the integer an integer
-    bisection between the feasibility floor and the ceiling would return.
-    That takes four evaluations of a(n), the two endpoint checks included.
+    form (a cubic in n) gives the real crossing, within a step of the first
+    breach; a search from there returns the integer an integer bisection
+    between the feasibility floor and the ceiling would, in two evaluations
+    of a(n), or one when even the floor breaches.
 
     Returns None when a(ceiling, kappa) <= tail_factor (no violation below
     the ceiling) and 0 when even the smallest feasible history violates.
@@ -117,20 +118,17 @@ def max_safe_history(
     _check_tail_factor(tail_factor)
     lo = feasible_floor(kappa)
     if lo > ceiling:
-        raise DomainError(
-            f"no feasible history length at or below the ceiling {ceiling}"
-        )
-    if required_tail_factor(lo, kappa) > tail_factor:
-        return 0
-    if required_tail_factor(ceiling, kappa) <= tail_factor:
-        return None
-    # invariant: a(lo) <= tail_factor < a(ceiling); the float crossing lands
-    # within a step of the first breach, so the search mostly makes two solves
+        raise DomainError(f"no feasible history length at or below the ceiling {ceiling}")
 
-    def breached(n: int) -> bool:
+    def breached(n: int) -> bool:  # the ceiling itself is checked below
         return n >= ceiling or required_tail_factor(n, kappa) > tail_factor
 
-    return _first_true(breached, lo + 1, math.floor(_crossing(tail_factor, kappa)) + 1) - 1
+    crossing = _crossing(tail_factor, kappa)  # nan or inf once tail_factor**2 overflows
+    guess = math.floor(crossing) + 1 if math.isfinite(crossing) else ceiling
+    first = _first_true(breached, lo, min(max(guess, lo), ceiling))
+    if first == ceiling and required_tail_factor(ceiling, kappa) <= tail_factor:
+        return None
+    return 0 if first == lo else first - 1
 
 
 def _verdict(tail_factor: float, history_n: int, kappa: float, required: float,
@@ -233,7 +231,8 @@ def empirical_validate(
         series = ReturnSeries.from_values(series)
     _check_tail_factor(tail_factor)
 
-    infeasible = series.kurtosis not in feasible_kurtosis_range(series.n)
+    k_min, k_max = _kappa_bounds(series.n)
+    infeasible = not k_min < series.kurtosis <= k_max
     if infeasible:
         verdict = _verdict(tail_factor, series.n, series.kurtosis,
                            samuelson_bound(series.n), None)

@@ -107,24 +107,76 @@ def test_max_safe_history_bisection_property(log_tail, log_kappa, ceiling):
             max_safe_history(tail, kappa, ceiling=ceiling)
         return
 
-    solves = []
+    solves, solve = [], validator._solve
 
     def counted(n, k):
         solves.append(n)
-        return solve_extreme_point(n, k)
+        return solve(n, k)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(validator, "solve_extreme_point", counted)
+        m.setattr(validator, "_solve", counted)
         n = max_safe_history(tail, kappa, ceiling=ceiling)
     assert n == want
+    assert solves  # the count below sees every evaluation of a(n)
     if n is None:
         assert required_tail_factor(ceiling, kappa) <= tail
     elif n == 0:
         assert required_tail_factor(feasible_floor(kappa), kappa) > tail
     else:
-        # the two endpoint checks, then the crossing and its neighbour
-        assert len(solves) <= 5
+        # the float crossing and its neighbour, without endpoint checks
+        assert len(solves) <= 3
         assert required_tail_factor(n, kappa) <= tail < required_tail_factor(n + 1, kappa)
+
+
+@pytest.mark.parametrize(
+    "tail, kappa, ceiling",
+    [
+        # a tail factor of at most 1 breaches every a(n); at 1 the cubic's P
+        # is 0, at 1 + 2**-52 and kappa 1e300 it underflows to 0, and at
+        # 1e-300 and kappa 1e200 so does the Newton slope
+        (1.0, 7.0, DEFAULT_HISTORY_CEILING),
+        (0.5, 7.0, DEFAULT_HISTORY_CEILING),
+        (1e-300, 7.0, DEFAULT_HISTORY_CEILING),
+        (1e-300, 1e150, 10**200),
+        (1e-300, 1e200, 10**201),  # n*kappa overflows at the floor
+        (1.0 + 2**-52, 1e300, 10**301),
+        # A = tail**2 overflows: the crossing is nan or inf
+        (1e200, 7.0, DEFAULT_HISTORY_CEILING),
+        (1.7e308, 7.0, DEFAULT_HISTORY_CEILING),
+        (1e150, 7.0, 300),
+        # the ceiling at the feasibility floor, 9 for kappa = 7
+        (2.0, 7.0, 9),
+        (5.0, 7.0, 9),
+        (5.0, 7.0, 8),
+        # endpoint kurtoses: 3.25 = kappa_max(5), a(5) = 2; 4.2 = kappa_max(6)
+        (2.0, 3.25, 5),
+        (2.0, 3.25, 6),
+        (1.99, 3.25, 5),
+        (2.5, 3.25, 6),
+        (2.0, 4.2, 5),
+        (2.0, 4.2, 6),
+        (math.sqrt(5.0), 4.2, 6),
+        (math.sqrt(5.0), 4.2, DEFAULT_HISTORY_CEILING),
+        (7.0, 4.2, DEFAULT_HISTORY_CEILING),
+    ],
+    ids=lambda v: f"{v:.6g}",
+)
+def test_max_safe_history_edge_inputs_match_bisection(tail, kappa, ceiling):
+    def outcome(search):
+        try:
+            return search(tail, kappa, ceiling)
+        except DomainError as e:
+            return type(e), str(e)
+
+    want = outcome(_bisection_reference)
+    if want == "infeasible":
+        want = (DomainError, f"no feasible history length at or below the ceiling {ceiling}")
+    got = outcome(lambda t, k, c: max_safe_history(t, k, ceiling=c))
+    assert got == want
+    if tail <= 1.0:
+        assert got == 0 or got[0] is DomainError
+    if tail > 1e150:
+        assert got is None
 
 
 def test_max_safe_history_rejects_non_finite_tail_factor():
