@@ -61,7 +61,6 @@ from .extreme_point import (
     oracle_moments,
     samuelson_bound,
     solve_extreme_point,
-    third_moment,
 )
 from .validator import (
     DEFAULT_HISTORY_CEILING,

@@ -19,18 +19,20 @@ the closed form: a bimodal base plus outlier is an affine image of the
 extremal configuration, so for odd total size the searched statistic must
 match solve_extreme_point to solver tolerance.
 
-Kurtosis is strictly increasing in the outlier once it clears the base's
-maximum; the search asserts this while expanding its bracket and fails
-loudly if the data disagree.  Each search step costs O(1): the base's
-central power sums about its mean are taken once, and the single outlier is
-merged in by expanding the centred powers about the new mean, in the manner
-of the one-pass moment updates of Pebay, "Formulas for robust, one-pass
-parallel computation of covariances and arbitrary-order statistical
+Kurtosis need not rise as the outlier moves up from the base's maximum: for
+the base [0, 0, 0.5, -1] it falls from 2.5 at 0.5 to about 2.22 at 1.  The
+search checks that it rises at every bracket point while expanding, and
+raises NonMonotoneError if it does not.  Each search step costs O(1): the
+base's central power sums about its mean are taken once, and the single
+outlier is merged in by expanding the centred powers about the new mean, in
+the manner of the one-pass moment updates of Pebay, "Formulas for robust,
+one-pass parallel computation of covariances and arbitrary-order statistical
 moments", SAND2008-6212 (2008).  The reported statistic and kurtosis come
 from a direct compensated pass over the final dataset, so they do not rest
-on the update formula.  Both passes take the base as (value, count) levels
-with each count * term exact, so their sums equal those over the expanded
-list bit for bit, and cost O(1) in m for bimodal, trimodal and two_thirds.
+on the update formula.  Both passes take the base as ascending (value,
+count) levels and form each weighted sum as one exact integer, so their sums
+equal those over the expanded list bit for bit, and cost O(1) in m for
+bimodal, trimodal and two_thirds.
 The uniform grid costs O(m), about 1 us and 115 bytes per point, so a
 uniform base above UNIFORM_MAX_M points is rejected before it is built.
 """
@@ -43,7 +45,7 @@ from operator import mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import BracketRangeError, DomainError, NonMonotoneError, SearchError
-from .extreme_point import _binary_levels, _central_sums, _wsum
+from .extreme_point import _central_sums, _wsum
 
 __all__ = ["SHAPES", "KAPPA_TOL", "OutlierSearchResult", "ComparisonRow", "generate_base",
            "search_outlier", "search_outlier_on_points", "comparison_table"]
@@ -137,10 +139,10 @@ def search_outlier_on_points(base_points: Sequence[float],
             expanded (would invalidate the bisection).
         SearchError: bisection stalled before reaching KAPPA_TOL.
     """
-    base = list(map(float, base_points))
+    base = sorted(map(float, base_points))
     if len(base) < 4:
         raise DomainError(f"need at least 4 base points, got {len(base)}")
-    return _search(base, None, len(base), min(base), max(base), target_kappa)
+    return _search(base, None, target_kappa)
 
 
 def search_outlier(kind: str, n: int, target_kappa: float) -> OutlierSearchResult:
@@ -148,20 +150,21 @@ def search_outlier(kind: str, n: int, target_kappa: float) -> OutlierSearchResul
     bit for bit the result of search_outlier_on_points on generate_base."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 5:
         raise DomainError(f"total size must be an integer >= 5, got {n!r}")
-    values, exps = _binary_levels(*_levels(kind, n - 1))
-    return _search(values, exps, n - 1, values[0], values[-1], target_kappa)
+    return _search(*_levels(kind, n - 1), target_kappa)
 
 
-def _search(values, exps, m, bottom, lo, target_kappa) -> OutlierSearchResult:
-    """The search on m base points spanning [bottom, lo], the i-th value
-    counted 2**exps[i] times when exps is given (extreme_point._binary_levels)."""
+def _search(values, counts, target_kappa) -> OutlierSearchResult:
+    """The search on the base of ascending values, the i-th counted counts[i]
+    times, or once when counts is None."""
     if not -math.inf < target_kappa < math.inf:
         raise DomainError(f"target kurtosis must be a finite number, got {target_kappa!r}")
+    m = len(values) if counts is None else sum(counts)
     n = m + 1
-    c = _wsum(values, exps) / m
-    s2, s3, s4 = _central_sums(values, c, exps)
+    c = _wsum(values, counts) / m
+    s2, s3, s4 = _central_sums(values, c, counts)
+    lo = values[-1]
     # a constant base rarely has an exact float mean, so s2 alone misses it
-    if lo == bottom or not s2 > 0.0:
+    if lo == values[0] or not s2 > 0.0:
         raise DomainError("zero variance while evaluating kurtosis")
     # kappa_at below forms t2 * t2 >= s2 * s2 and, at the target, n * t4 =
     # target * t2 * t2: past the float range every kurtosis reads inf or nan
@@ -230,15 +233,15 @@ def _search(values, exps, m, bottom, lo, target_kappa) -> OutlierSearchResult:
         raise SearchError("outlier bisection did not converge")
 
     # report from a direct pass over the final dataset, not from the update
-    exps = None if exps is None else exps + [0]
-    mu = _wsum(chain(values, (x,)), exps) / n
+    counts = None if counts is None else counts + [1]
+    mu = _wsum(chain(values, (x,)), counts) / n
     dev = list(map(sub, chain(values, (x,)), repeat(mu)))
     sq = list(map(mul, dev, dev))
-    variance = _wsum(sq, exps) / n
+    variance = _wsum(sq, counts) / n
     return OutlierSearchResult(
         a_statistic=(x - mu) / math.sqrt(variance),
         outlier_value=x,
-        achieved_kappa=_wsum(map(mul, sq, sq), exps) / n / (variance * variance),
+        achieved_kappa=_wsum(map(mul, sq, sq), counts) / n / (variance * variance),
     )
 
 
@@ -252,7 +255,7 @@ def comparison_table(
     """
     return [
         ComparisonRow(base_m=m, **{
-            kind: search_outlier(kind, m + 1, target_kappa).a_statistic for kind in SHAPES
-        }, samuelson=math.sqrt(m))  # after the searches, which reject an m below 4
+            kind: _search(*_levels(kind, m), target_kappa).a_statistic for kind in SHAPES
+        }, samuelson=math.sqrt(m))  # after _levels, which rejects an m below 4
         for m in base_sizes
     ]

@@ -31,12 +31,7 @@ import sys
 from typing import Sequence
 
 from . import appendix_search, chebyshev_bounds, distributions, validator
-from .errors import (
-    DomainError,
-    SearchError,
-    TableLookupError,
-    TailboundError,
-)
+from .errors import DomainError, TailboundError
 from .extreme_point import samuelson_bound, solve_extreme_point
 from .output import FORMATS, INFEASIBLE_MARKER, OutputDocument
 
@@ -403,7 +398,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_UsageError, CsvFormatError, OSError) as exc:
         print(f"tailbound: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TableLookupError, DomainError, SearchError) as exc:
+    except TailboundError as exc:
         print(f"tailbound: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

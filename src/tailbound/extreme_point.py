@@ -46,7 +46,7 @@ import math
 import sys
 from itertools import repeat
 from operator import mul, sub
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateDataError, DomainError, InfeasibleKurtosisError
 
@@ -59,10 +59,13 @@ __all__ = [
     "solve_extreme_point",
     "asymptotic_a",
     "samuelson_bound",
-    "third_moment",
     "construct_distribution",
     "oracle_moments",
 ]
+
+#: every float is an integer multiple of 1/_TWO_1074, the smallest subnormal
+_TWO_1074 = 1 << 1074
+
 
 class KurtosisRange(NamedTuple):
     """Feasible kurtosis interval for a sample size: (kappa_min, kappa_max]."""
@@ -225,12 +228,6 @@ def _solve(n: float, kappa: float) -> tuple[float, float, float, float]:
     return nf, g, a_sq, b_sq
 
 
-def third_moment(solution: ExtremePointSolution) -> float:
-    """Population third moment -3a/(n-1) + (n+1)a**3/(n-1)**2 of a solved
-    configuration."""
-    return solution.theta3
-
-
 def asymptotic_a(n: float, kappa: float) -> float:
     """Large-n approximation sqrt(1 + sqrt(1 + n*(kappa-1))) of the extreme
     deviation.
@@ -284,32 +281,29 @@ def construct_distribution(n: int, kappa: float) -> list[float]:
     return [sol.a] + [b - shift] * half + [-b - shift] * half
 
 
-def _binary_levels(values: list[float], counts: list[int] | None) -> tuple[list, list | None]:
-    """Values with counts as (values, exps), one entry (v, k) per set bit 2**k
-    of v's count, so 2**k * term is exact; (values, None) without counts."""
+def _wsum(terms: Iterable[float], counts: Sequence[int] | None) -> float:
+    """fsum of terms, the i-th counted counts[i] times when counts is given.
+
+    With counts the weighted sum is one exact int in units of 2**-1074, and
+    int true division rounds it once: equal to fsum over the repeated list,
+    bit for bit, for finite terms."""
     if counts is None:
-        return values, None
-    pairs = zip(*((v, k) for v, c in zip(values, counts)
-                  for k in range(c.bit_length()) if c >> k & 1))
-    return tuple(map(list, pairs))
-
-
-def _wsum(terms: Iterable[float], exps: list[int] | None) -> float:
-    """fsum of terms, the i-th counted 2**exps[i] times when exps is given:
-    correctly rounded, so equal to fsum over the repeated list."""
-    if exps is None:
         return math.fsum(terms)
-    return math.fsum(map(math.ldexp, terms, exps))
+    total = 0
+    for term, count in zip(terms, counts):
+        p, q = term.as_integer_ratio()  # q is a power of two up to 2**1074
+        total += (count * p) << (1075 - q.bit_length())
+    return total / _TWO_1074
 
 
 def _central_sums(
-    values: Iterable[float], centre: float, exps: list[int] | None = None
+    values: Iterable[float], centre: float, counts: Sequence[int] | None = None
 ) -> tuple[float, float, float]:
     """Compensated sums of (v - centre)**k over values, for k = 2, 3, 4; with
-    exps, over the weighted points of :func:`_binary_levels`."""
+    counts, the i-th value counted counts[i] times (see :func:`_wsum`)."""
     dev = list(map(sub, values, repeat(centre)))
     sq = list(map(mul, dev, dev))
-    return _wsum(sq, exps), _wsum(map(mul, sq, dev), exps), _wsum(map(mul, sq, sq), exps)
+    return _wsum(sq, counts), _wsum(map(mul, sq, dev), counts), _wsum(map(mul, sq, sq), counts)
 
 
 def oracle_moments(data: Iterable[float]) -> Moments:

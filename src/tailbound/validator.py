@@ -142,10 +142,14 @@ def validate_model(tail_factor: float, history_n: int, kappa: float) -> ModelVer
     """Check a quoted tail factor against the bound for its own history.
 
     Raises:
-        DomainError: tail factor not finite and positive, history below 5.
+        DomainError: tail factor not finite and positive, history below 5 or
+            a finite float that is not a whole number.
         InfeasibleKurtosisError: kappa infeasible at history_n.
     """
     _check_tail_factor(tail_factor)
+    # the verdict reports int(history_n), so a(history_n) must be taken there
+    if isinstance(history_n, float) and math.isfinite(history_n) and not history_n.is_integer():
+        raise DomainError(f"history length must be a whole number, got {history_n!r}")
     return _verdict(tail_factor, history_n, kappa, required_tail_factor(history_n, kappa),
                     max_safe_history(tail_factor, kappa))
 

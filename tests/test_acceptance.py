@@ -27,7 +27,6 @@ from tailbound import (
     solve_extreme_point,
     student_t_cdf,
     student_t_quantile,
-    third_moment,
     zelen_bound,
 )
 
@@ -94,7 +93,7 @@ def test_criterion_05_zelen_sharpness():
     for n in goldens.ZELEN_GRID_N:
         for kappa in goldens.KAPPAS:
             sol = solve_extreme_point(n, kappa)
-            ev = zelen_bound(sol.a, third_moment(sol), kappa)
+            ev = zelen_bound(sol.a, sol.theta3, kappa)
             assert ev.one_in_n == pytest.approx(n, abs=3.0)
 
 
@@ -103,7 +102,7 @@ def test_criterion_06_bhattacharyya_grid():
     for n, cells in goldens.BHATTACHARYYA_TABLE.items():
         for kappa, want in zip(goldens.KAPPAS, cells):
             sol = solve_extreme_point(n, kappa)
-            p = bhattacharyya_bound(sol.a, third_moment(sol), kappa).probability
+            p = bhattacharyya_bound(sol.a, sol.theta3, kappa).probability
             assert p == pytest.approx(want, rel=0.02)
             if n >= 100_000:
                 assert p > 10.0 / n

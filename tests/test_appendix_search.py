@@ -15,6 +15,7 @@ from tailbound import (
     BracketRangeError,
     ComparisonRow,
     DomainError,
+    NonMonotoneError,
     SearchError,
     TailboundError,
     cli,
@@ -27,6 +28,7 @@ from tailbound import (
 )
 
 from tailbound.appendix_search import UNIFORM_MAX_M
+from tailbound.extreme_point import _wsum
 
 import goldens
 
@@ -189,6 +191,26 @@ def test_level_search_is_bit_identical_to_the_expanded_list(kind, m, kappa):
     assert repr(got) == repr(want)
 
 
+_summands = st.one_of(
+    st.floats(allow_nan=False, min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals among them
+    st.sampled_from([1e300, -1e300, 2.0**-1074, -(2.0**-1074), 1.0, 1.0 + 2.0**-52]),
+)
+
+
+@settings(max_examples=500)
+@given(
+    pairs=st.lists(st.tuples(_summands, st.integers(min_value=0, max_value=64)), max_size=10),
+    mirror_counts=st.lists(st.integers(min_value=0, max_value=64), max_size=10),
+)
+def test_wsum_equals_fsum_over_the_repeated_list(pairs, mirror_counts):
+    # negated copies of the terms under other counts make the sum cancel
+    pairs = pairs + [(-term, count) for (term, _), count in zip(pairs, mirror_counts)]
+    terms, counts = [t for t, _ in pairs], [c for _, c in pairs]
+    expanded = [t for t, c in pairs for _ in range(c)]
+    assert _wsum(terms, counts) == math.fsum(expanded)
+
+
 @pytest.mark.parametrize("kind", ["bimodal", "trimodal", "two_thirds"])
 def test_level_shapes_search_in_constant_memory(kind):
     search_outlier(kind, 10**6 + 1, 16.0)  # first-call allocations are not the search's
@@ -258,6 +280,15 @@ def _direct_kurtosis(base, x):
     return oracle_moments(base + [x]).kurtosis
 
 
+def test_kurtosis_that_dips_above_the_base_maximum_is_non_monotone():
+    # from the maximum 0.5 the kurtosis falls before it rises, and the first
+    # bracket point 1.5 already sits below the start
+    base = [0.0, 0.0, 0.5, -1.0]
+    assert _direct_kurtosis(base, 1.0) < _direct_kurtosis(base, 0.5) == 2.5
+    with pytest.raises(NonMonotoneError, match="decreased from 2.5 to 2.26"):
+        search_outlier_on_points(base, 3.0)
+
+
 def _bracket_dips(base, target):
     """Whether the direct kurtosis falls between two bracket points the
     search visits on its way up to target (it then raises NonMonotoneError)."""
@@ -303,11 +334,13 @@ def test_search_agrees_with_direct_moments(points, scale, shift, frac):
 
 def test_import_and_appendix_leave_numpy_unloaded():
     # dataclasses and inspect cost start-up time on every call; json is
-    # needed by json renders only, and the csv/markdown runs below render
+    # needed by json renders only, and the csv/markdown runs below render;
+    # fractions and decimal would mean a slower exact path crept into a sum
     script = (
         "import runpy, sys\n"
         "import tailbound\n"
-        "loaded = {'numpy', 'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "banned = {'numpy', 'dataclasses', 'inspect', 'fractions', 'decimal'}\n"
+        "loaded = banned & set(sys.modules)\n"
         "assert not loaded, f'import tailbound loaded {loaded}'\n"
         "for argv in (['shock-table', '--format', 'csv'], ['appendix', '--n', '500']):\n"
         "    sys.argv = ['tailbound', *argv]\n"
@@ -315,7 +348,7 @@ def test_import_and_appendix_leave_numpy_unloaded():
         "        runpy.run_module('tailbound', run_name='__main__', alter_sys=True)\n"
         "    except SystemExit as exc:\n"
         "        assert exc.code == 0, f'tailbound {argv[0]} exited {exc.code}'\n"
-        "    loaded = {'numpy', 'dataclasses', 'inspect', 'json'} & set(sys.modules)\n"
+        "    loaded = (banned | {'json'}) & set(sys.modules)\n"
         "    assert not loaded, f'tailbound {argv[0]} loaded {loaded}'\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -18,7 +18,6 @@ from tailbound import (
     feasible_floor,
     feasible_kurtosis_range,
     solve_extreme_point,
-    third_moment,
     zelen_bound,
 )
 
@@ -27,7 +26,7 @@ import goldens
 
 def extremal_inputs(n, kappa):
     sol = solve_extreme_point(n, kappa)
-    return sol.a, third_moment(sol)
+    return sol.a, sol.theta3
 
 
 # ---------------------------------------------------------------------------

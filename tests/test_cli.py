@@ -632,6 +632,14 @@ def test_appendix_unreachable_target_exits_3(run_cli):
     assert "infeasible" in res.stderr
 
 
+def test_appendix_base_below_four_names_the_base_size(capsys):
+    # the table searches base sizes, so the message must not speak of n = m + 1
+    assert cli.main(["appendix", "--n", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "base size must be an integer >= 4, got 3" in err
+
+
 # ---------------------------------------------------------------------------
 # top level
 # ---------------------------------------------------------------------------

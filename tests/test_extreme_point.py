@@ -20,7 +20,6 @@ from tailbound import (
     oracle_moments,
     samuelson_bound,
     solve_extreme_point,
-    third_moment,
 )
 
 
@@ -325,19 +324,9 @@ def test_samuelson_rejects_n_below_2():
 # ---------------------------------------------------------------------------
 
 
-def test_third_moment_zero_at_zero_a():
-    from tailbound import ExtremePointSolution
-
-    degenerate = ExtremePointSolution(
-        n=251, kappa=1.004, g_value=0.0, a=0.0, b_squared=1.0,
-        theta3=0.0, samuelson_bound=math.sqrt(250),
-    )
-    assert third_moment(degenerate) == 0.0
-
-
 def test_third_moment_anchor_value():
     sol = solve_extreme_point(10_001, 7.0)
-    assert third_moment(sol) == pytest.approx(0.381, abs=1e-3)
+    assert sol.theta3 == pytest.approx(0.381, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,22 @@ def test_validate_model_propagates_infeasibility():
         validate_model(-1.0, 250, 7.0)
 
 
+def test_validate_model_rejects_a_fractional_history():
+    # the verdict reports int(history_n), so a(500.5) would be passed off
+    # as the bound at 500
+    with pytest.raises(DomainError, match="whole number, got 500.5"):
+        validate_model(7.0, 500.5, 7.0)
+    with pytest.raises(DomainError, match="whole number, got 15750.25"):
+        validate_blr("6m", 16.0, 15750.25)
+    assert validate_model(7.0, 500.0, 7.0) == validate_model(7.0, 500, 7.0)
+    assert validate_blr("6m", 16.0, 15750.0) == validate_blr("6m", 16.0, 15750)
+    # non-finite histories keep the solver's messages
+    with pytest.raises(DomainError, match="at least 5, got nan"):
+        validate_model(7.0, math.nan, 7.0)
+    with pytest.raises(InfeasibleKurtosisError, match="for n=inf"):
+        validate_model(7.0, math.inf, 7.0)
+
+
 @given(
     st.integers(min_value=9, max_value=10**6),
     st.floats(min_value=1.5, max_value=16.0),
