@@ -44,7 +44,6 @@ from .errors import (
     DomainError,
     InfeasibleKurtosisError,
     MomentInfeasibleError,
-    NonMonotoneError,
     SearchError,
     TableLookupError,
     TailboundError,

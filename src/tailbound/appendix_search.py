@@ -17,22 +17,22 @@ goes to the modes by fixed rules, stated once in ``_levels``; they perturb
 the result by O(1/m) only.  The bimodal search is an independent route to
 the closed form: a bimodal base plus outlier is an affine image of the
 extremal configuration, so for odd total size the searched statistic must
-match solve_extreme_point to solver tolerance.
+match solve_extreme_point to a few ulps.
 
-Kurtosis need not rise as the outlier moves up from the base's maximum: for
-the base [0, 0, 0.5, -1] it falls from 2.5 at 0.5 to about 2.22 at 1.  The
-search checks that it rises at every bracket point while expanding, and
-raises NonMonotoneError if it does not.  Each search step costs O(1): the
-base's central power sums about its mean are taken once, and the single
+The base's central power sums about its mean are taken once, and the
 outlier is merged in by expanding the centred powers about the new mean, in
-the manner of the one-pass moment updates of Pebay, "Formulas for robust,
-one-pass parallel computation of covariances and arbitrary-order statistical
-moments", SAND2008-6212 (2008).  The reported statistic and kurtosis come
-from a direct compensated pass over the final dataset, so they do not rest
-on the update formula.  Both passes take the base as ascending (value,
-count) levels and form each weighted sum as one exact integer, so their sums
-equal those over the expanded list bit for bit, and cost O(1) in m for
-bimodal, trimodal and two_thirds.
+the manner of Pebay, "Formulas for robust, one-pass parallel computation of
+covariances and arbitrary-order statistical moments", SAND2008-6212 (2008).
+The kurtosis then equals a target K where a depressed quartic in the
+outlier vanishes, whose leading coefficient is positive exactly when K lies
+below the supremum (m*m - m + 1)/m; that test is made in integers.  Newton
+steps from Fujiwara's root bound return the largest root, since kurtosis
+need not rise from the base's maximum: for [0, 0, 0.5, -1] it falls from
+2.5 at 0.5 to about 2.22 at 1.  A direct compensated pass over the final
+dataset gives the reported figures and checks the kurtosis against
+KAPPA_TOL.  Both passes take the base as ascending (value, count) levels
+and form each weighted sum as one exact integer, equal to the sum over the
+expanded list bit for bit and O(1) in m for the three level shapes.
 The uniform grid costs O(m), about 1 us and 115 bytes per point, so a
 uniform base above UNIFORM_MAX_M points is rejected before it is built.
 """
@@ -40,24 +40,30 @@ uniform base above UNIFORM_MAX_M points is rejected before it is built.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain, repeat
 from operator import mul, sub
 from typing import NamedTuple, Sequence
 
-from .errors import BracketRangeError, DomainError, NonMonotoneError, SearchError
+from .errors import BracketRangeError, DomainError, SearchError
 from .extreme_point import _central_sums, _wsum
 
 __all__ = ["SHAPES", "KAPPA_TOL", "OutlierSearchResult", "ComparisonRow", "generate_base",
            "search_outlier", "search_outlier_on_points", "comparison_table"]
 
-#: kurtosis tolerance the search drives the dataset to: absolute up to a
+#: largest miss of the target kurtosis a search returns: absolute up to a
 #: target of 1000, relative above it (KAPPA_TOL * target/1000), where the
 #: rounding error of the kurtosis itself outgrows an absolute 1e-9
 KAPPA_TOL = 1e-9
 
-#: largest uniform base: a search at the cap took 4.8 s and 588 MB peak RSS
-#: (Python 3.11, 2-vCPU Xeon); 10**7 points did not fit in 1 GB of address space
+#: largest base generate_base builds and largest uniform base a search takes
+#: (the level shapes search at any size): a uniform search at the cap took
+#: 4.8 s and 588 MB peak RSS (Python 3.11, 2-vCPU Xeon); 10**7 points did not
+#: fit in 1 GB of address space
 UNIFORM_MAX_M = 5_000_000
+
+_TOO_LARGE = ("a base of {} points is too large: its kurtosis near the target {!r} "
+              "is past the float range")
 
 #: the base shapes, each also a column of :class:`ComparisonRow`
 SHAPES = ("bimodal", "trimodal", "two_thirds", "uniform")
@@ -118,26 +124,30 @@ def generate_base(kind: str, m: int) -> list[float]:
     The uniform grid is -1 + i*2/(m-1) for i < m - 1, closed by exactly +1.
 
     Raises:
-        DomainError: unknown kind, m < 4, or a uniform m above UNIFORM_MAX_M.
+        DomainError: unknown kind, m < 4, or m above UNIFORM_MAX_M.
     """
-    values, counts = _levels(kind, m)
-    return values if counts is None else list(chain.from_iterable(map(repeat, values, counts)))
+    values, counts = _levels(kind, m)  # checks a uniform m against the cap
+    if counts is None:
+        return values
+    if m > UNIFORM_MAX_M:
+        raise DomainError(f"{kind} base size {m} is above the cap of {UNIFORM_MAX_M}")
+    return list(chain.from_iterable(map(repeat, values, counts)))
 
 
 def search_outlier_on_points(base_points: Sequence[float],
                              target_kappa: float) -> OutlierSearchResult:
-    """Tune an outlier above max(base_points) until the dataset kurtosis hits
+    """Find the largest outlier at which the dataset kurtosis equals
     target_kappa, to within KAPPA_TOL (relative above a target of 1000).
 
     Raises:
-        DomainError: a non-finite target_kappa, fewer than 4 base points, or
-            a base with zero variance.
-        BracketRangeError: target unreachable (at or below the kurtosis of
-            the base with the outlier resting on its maximum, or above the
-            supremum reachable by any finite outlier).
-        NonMonotoneError: kurtosis failed to increase while the bracket
-            expanded (would invalidate the bisection).
-        SearchError: bisection stalled before reaching KAPPA_TOL.
+        DomainError: a non-finite target_kappa, fewer than 4 base points, a
+            base with zero variance, or kurtosis sums past the float range.
+        BracketRangeError: target unreachable: not above the kurtosis of the
+            base with the outlier resting on its maximum, or not below the
+            supremum (m*m - m + 1)/m that the kurtosis approaches as the
+            outlier grows.
+        SearchError: the kurtosis of the dataset found misses the target by
+            more than KAPPA_TOL.
     """
     base = sorted(map(float, base_points))
     if len(base) < 4:
@@ -159,89 +169,78 @@ def _search(values, counts, target_kappa) -> OutlierSearchResult:
     if not -math.inf < target_kappa < math.inf:
         raise DomainError(f"target kurtosis must be a finite number, got {target_kappa!r}")
     m = len(values) if counts is None else sum(counts)
+    if m > sys.float_info.max:  # the mean below divides by a float m
+        raise DomainError(_TOO_LARGE.format(m, target_kappa))
     n = m + 1
     c = _wsum(values, counts) / m
     s2, s3, s4 = _central_sums(values, c, counts)
-    lo = values[-1]
     # a constant base rarely has an exact float mean, so s2 alone misses it
-    if lo == values[0] or not s2 > 0.0:
+    if values[-1] == values[0] or not s2 > 0.0:
         raise DomainError("zero variance while evaluating kurtosis")
-    # kappa_at below forms t2 * t2 >= s2 * s2 and, at the target, n * t4 =
-    # target * t2 * t2: past the float range every kurtosis reads inf or nan
-    if not s2 * s2 * max(target_kappa, 1.0) < math.inf:
-        raise DomainError(
-            f"a base of {m} points is too large: its kurtosis near the target "
-            f"{target_kappa!r} is past the float range"
+    # every kurtosis lies below (m*m - m + 1)/m; compared with K = p/q in ints
+    p, q = target_kappa.as_integer_ratio()
+    lead = q * (m * m - m + 1) - p * m
+    if lead <= 0:
+        raise BracketRangeError(
+            f"target kurtosis {target_kappa!r} not reachable: it is not below the "
+            f"supremum {(m * m - m + 1) / m!r} that the kurtosis approaches as the outlier grows"
         )
-    # coefficients of the powers of d = x - c in the merged central sums
+    # c0 below forms target * s2 * s2, and t2 >= s2 at every outlier: past
+    # the float range every kurtosis reads inf or nan
+    if not s2 * s2 * max(target_kappa, 1.0) < math.inf:
+        raise DomainError(_TOO_LARGE.format(m, target_kappa))
+    # with d = x - c the merged central sums are t2 = s2 + b2*d**2 and
+    # t4 = s4 - 4*s3*d/n + 6*s2*d**2/n**2 + m*(m*m - m + 1)*d**4/n**3 (the
+    # base's first central sum taken as zero), so the kurtosis n*t4/t2**2
+    # exceeds K exactly where f = n*t4 - K*t2**2 = c4*d**4 + c2*d**2 + c1*d
+    # + c0 is positive
     b2 = m / n
-    a1 = 4.0 * s3 / n
-    a2 = 6.0 * s2 / (n * float(n))  # an int n * n past 2**1024 has no float
-    a4 = m * (m * m - m + 1) / n**3
-
-    def kappa_at(x: float) -> float:
-        # central sums of base + [x] about its own mean, from those of the
-        # base about c; the base's first central sum is taken as zero
-        d = x - c
-        d2 = d * d
+    c4 = m * lead / (q * n * n)
+    c2 = 2.0 * s2 * (3.0 / n - target_kappa * b2)
+    c1 = -4.0 * s3
+    c0 = n * s4 - target_kappa * s2 * s2
+    d = values[-1] - c
+    d2 = d * d
+    f = (c4 * d2 + c2) * d2 + c1 * d + c0
+    if not f < 0.0:
         t2 = s2 + b2 * d2
-        t4 = s4 - a1 * d + a2 * d2 + a4 * d2 * d2
-        return n * t4 / (t2 * t2)
-
-    k_lo = kappa_at(lo)
-    if target_kappa <= k_lo:
         raise BracketRangeError(
             f"target kurtosis {target_kappa!r} is not above the starting value "
-            f"{k_lo!r}; nothing to search"
+            f"{target_kappa + f / (t2 * t2)!r}; nothing to search"
         )
 
-    span = max(abs(lo), 1.0)
-    hi = lo + span
-    k_prev, k_hi = k_lo, kappa_at(hi)
-    expansions = 0
-    while k_hi < target_kappa:
-        # rounding jitter on the saturation plateau is not a violation
-        if k_hi < k_prev - 1e-12 * max(1.0, abs(k_prev)):
-            raise NonMonotoneError(
-                f"kurtosis decreased from {k_prev!r} to {k_hi!r} while expanding "
-                f"the bracket at outlier {hi!r}"
-            )
-        expansions += 1
-        if expansions > 200:
-            raise BracketRangeError(
-                f"target kurtosis {target_kappa!r} not reachable: still at "
-                f"{k_hi!r} with outlier {hi!r} (supremum is below the target)"
-            )
-        span *= 2.0
-        k_prev, hi = k_hi, lo + span
-        k_hi = kappa_at(hi)
-
-    tol = KAPPA_TOL * max(1.0, target_kappa / 1000.0)
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        k_mid = kappa_at(mid)
-        if abs(k_mid - target_kappa) < tol:
-            x = mid
+    # Newton steps fall from Fujiwara's bound, above every root and where f is
+    # convex, to the largest root and stop when rounding halts them; one that
+    # left the convex part could stop off a root, which the final check reports
+    e2, e1, e0 = c2 / c4, c1 / c4, c0 / c4  # f / c4 = d**4 + e2*d**2 + e1*d + e0
+    d = 2.0 * max(math.sqrt(abs(e2)), abs(e1) ** (1 / 3), math.sqrt(math.sqrt(abs(e0) / 2)))
+    while True:
+        d2 = d * d
+        slope = (4.0 * d2 + 2.0 * e2) * d + e1
+        d_next = d - ((d2 + e2) * d2 + e1 * d + e0) / slope if slope > 0.0 else d
+        if not d_next < d:
             break
-        lo, hi = (mid, hi) if k_mid < target_kappa else (lo, mid)
-        if hi - lo <= abs(mid) * 1e-15:
-            raise SearchError(
-                f"bisection exhausted float resolution at kurtosis {k_mid!r} "
-                f"without reaching {target_kappa!r} +- {tol}"
-            )
-    else:
-        raise SearchError("outlier bisection did not converge")
+        d = d_next
+    # the sums at a root near the supremum can pass the float range as well
+    t2 = s2 + b2 * d * d
+    if not target_kappa * t2 * t2 < math.inf:
+        raise DomainError(_TOO_LARGE.format(m, target_kappa))
+    x = c + d
 
-    # report from a direct pass over the final dataset, not from the update
+    # report from a direct pass over the final dataset, not from f
     counts = None if counts is None else counts + [1]
     mu = _wsum(chain(values, (x,)), counts) / n
     dev = list(map(sub, chain(values, (x,)), repeat(mu)))
     sq = list(map(mul, dev, dev))
     variance = _wsum(sq, counts) / n
+    kappa = _wsum(map(mul, sq, sq), counts) / n / (variance * variance)
+    tol = KAPPA_TOL * max(1.0, target_kappa / 1000.0)
+    if not abs(kappa - target_kappa) <= tol:
+        raise SearchError(
+            f"the outlier {x!r} gives kurtosis {kappa!r}, not {target_kappa!r} +- {tol}"
+        )
     return OutlierSearchResult(
-        a_statistic=(x - mu) / math.sqrt(variance),
-        outlier_value=x,
-        achieved_kappa=_wsum(map(mul, sq, sq), counts) / n / (variance * variance),
+        a_statistic=(x - mu) / math.sqrt(variance), outlier_value=x, achieved_kappa=kappa
     )
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "TableLookupError",
     "SearchError",
     "BracketRangeError",
-    "NonMonotoneError",
 ]
 
 
@@ -81,8 +80,4 @@ class SearchError(TailboundError, RuntimeError):
 
 
 class BracketRangeError(SearchError):
-    """The search target cannot be bracketed within the admissible range."""
-
-
-class NonMonotoneError(SearchError):
-    """The objective violated the monotonicity the search relies on."""
+    """The search target lies outside the range the search can reach."""

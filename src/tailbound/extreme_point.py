@@ -119,15 +119,15 @@ def feasible_kurtosis_range(n: float) -> KurtosisRange:
 
     Raises:
         DomainError: for n < 5 (the quadratic degenerates at n = 3 and the
-            background needs at least two points per level).
+            background needs at least two points per level) or n = inf.
     """
     return KurtosisRange(n, *_kappa_bounds(n))
 
 
 def _kappa_bounds(n: float) -> tuple[float, float]:
     """(kappa_min, kappa_max) of :func:`feasible_kurtosis_range`, unwrapped."""
-    if not n >= 5:
-        raise DomainError(f"sample size must be at least 5, got {n!r}")
+    if not 5 <= n < math.inf:
+        raise DomainError(f"sample size must be finite and at least 5, got {n!r}")
     # an integral float n takes its int's exact, correctly rounded endpoints,
     # so n * n cannot overflow and a float n matches its int
     m = int(n) if isinstance(n, float) and n.is_integer() else n
@@ -190,7 +190,7 @@ def solve_extreme_point(n: float, kappa: float) -> ExtremePointSolution:
     form so that a == sqrt(n-1) and b_squared == 0 exactly.
 
     Raises:
-        DomainError: n < 5, or n*kappa past the float range.
+        DomainError: n < 5, n = inf, or n*kappa past the float range.
         InfeasibleKurtosisError: kappa outside (kappa_min, kappa_max].
     """
     nf, g, a_sq, b_sq = _solve(n, kappa)

@@ -142,8 +142,8 @@ def validate_model(tail_factor: float, history_n: int, kappa: float) -> ModelVer
     """Check a quoted tail factor against the bound for its own history.
 
     Raises:
-        DomainError: tail factor not finite and positive, history below 5 or
-            a finite float that is not a whole number.
+        DomainError: tail factor not finite and positive, history below 5,
+            infinite, or a finite float that is not a whole number.
         InfeasibleKurtosisError: kappa infeasible at history_n.
     """
     _check_tail_factor(tail_factor)

@@ -15,11 +15,11 @@ from tailbound import (
     BracketRangeError,
     ComparisonRow,
     DomainError,
-    NonMonotoneError,
     SearchError,
     TailboundError,
     cli,
     comparison_table,
+    feasible_kurtosis_range,
     generate_base,
     oracle_moments,
     search_outlier,
@@ -111,11 +111,11 @@ def test_trimodal_large_anchor():
 def test_bimodal_search_matches_closed_form():
     # a bimodal base plus outlier is an affine image of the extremal
     # configuration, so the search is an independent route to the solver
-    for n, kappa in ((501, 16.0), (501, 7.0), (1001, 10.0)):
-        res = search_outlier("bimodal", n, kappa)
-        assert res.a_statistic == pytest.approx(
-            solve_extreme_point(n, kappa).a, abs=1e-6
-        )
+    for n in range(7, 4002, 2):
+        for kappa in (7.0, 10.0, 16.0):
+            if kappa in feasible_kurtosis_range(n):
+                a = solve_extreme_point(n, kappa).a
+                assert abs(search_outlier("bimodal", n, kappa).a_statistic - a) <= 4 * math.ulp(a)
 
 
 def test_published_anchor_row():
@@ -150,6 +150,31 @@ def test_target_above_supremum_is_rejected():
     # with 13 points no single outlier can push kurtosis past ~11.08
     with pytest.raises(BracketRangeError):
         search_outlier("bimodal", 13, 100.0)
+
+
+@pytest.mark.parametrize("kind", SHAPES)
+def test_targets_next_to_the_supremum(kind):
+    # the kurtosis approaches (m*m - m + 1)/m as the outlier grows and never
+    # reaches it; reachability is decided exactly, not by a float tolerance
+    for m in (4, 7, 100, 1000):
+        target = sup = (m * m - m + 1) / m
+        for _ in range(40):
+            target = math.nextafter(target, 0.0)
+            res = search_outlier(kind, m + 1, target)
+            assert abs(res.achieved_kappa - target) <= KAPPA_TOL * max(1.0, target / 1000.0)
+        p, q = sup.as_integer_ratio()
+        at_or_above = sup if p * m >= q * (m * m - m + 1) else math.nextafter(sup, math.inf)
+        for target in (at_or_above, math.nextafter(at_or_above, math.inf), 2.0 * sup, 10**400):
+            with pytest.raises(BracketRangeError, match="supremum"):
+                search_outlier(kind, m + 1, target)
+
+
+def test_appendix_at_the_supremum_exits_3(capsys):
+    # 3.25 is exactly the supremum for a base of 4 points
+    assert cli.main(["appendix", "--n", "4", "--kappa", "3.25"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "supremum 3.25" in err
 
 
 def test_search_input_validation():
@@ -256,6 +281,24 @@ def test_level_base_past_the_float_range_is_a_domain_error(kind, m):
         search_outlier(kind, m + 1, 16.0)
 
 
+@pytest.mark.parametrize("kind", ["bimodal", "trimodal", "two_thirds"])
+def test_base_size_past_every_float_is_a_domain_error(kind):
+    m = 10**400  # the mean divides by m, which no float holds
+    with pytest.raises(DomainError, match=f"a base of {m} points"):
+        search_outlier(kind, m + 1, 16.0)
+
+
+def test_root_past_the_float_range_is_a_domain_error():
+    # one ulp below the supremum 3.25 the root sits near 2e78 on this base,
+    # where its fourth power has no float; at 1e60 it is still in range
+    target = math.nextafter(3.25, 0.0)
+    base = [-1.0, -0.5, 0.25, 1.0]
+    res = search_outlier_on_points([1e60 * v for v in base], target)
+    assert abs(res.achieved_kappa - target) < KAPPA_TOL
+    with pytest.raises(DomainError, match="a base of 4 points is too large"):
+        search_outlier_on_points([1e70 * v for v in base], target)
+
+
 def test_two_thirds_base_at_1e154_still_reaches_the_target():
     # its spread is 2/9 of a bimodal one, so its sums stay in range here
     res = search_outlier("two_thirds", 10**154 + 1, 16.0)
@@ -276,32 +319,28 @@ def test_uniform_base_above_the_cap_is_a_domain_error(capsys):
     assert "above the cap" in err
 
 
+@pytest.mark.parametrize("kind", ["bimodal", "trimodal", "two_thirds"])
+def test_generate_base_caps_the_level_shapes(kind):
+    # the searches take these at any size, but the list would not fit
+    for m in (UNIFORM_MAX_M + 1, 10**9):
+        with pytest.raises(DomainError, match="above the cap"):
+            generate_base(kind, m)
+    assert len(generate_base(kind, UNIFORM_MAX_M)) == UNIFORM_MAX_M
+
+
 def _direct_kurtosis(base, x):
     return oracle_moments(base + [x]).kurtosis
 
 
-def test_kurtosis_that_dips_above_the_base_maximum_is_non_monotone():
-    # from the maximum 0.5 the kurtosis falls before it rises, and the first
-    # bracket point 1.5 already sits below the start
+def test_search_past_a_kurtosis_dip_returns_the_largest_root():
+    # from the maximum 0.5 the kurtosis falls before it rises toward the
+    # supremum 3.25; the search solves for the root, not along the dip
     base = [0.0, 0.0, 0.5, -1.0]
     assert _direct_kurtosis(base, 1.0) < _direct_kurtosis(base, 0.5) == 2.5
-    with pytest.raises(NonMonotoneError, match="decreased from 2.5 to 2.26"):
-        search_outlier_on_points(base, 3.0)
-
-
-def _bracket_dips(base, target):
-    """Whether the direct kurtosis falls between two bracket points the
-    search visits on its way up to target (it then raises NonMonotoneError)."""
-    lo = max(base)
-    span = max(abs(lo), 1.0)
-    k_prev = _direct_kurtosis(base, lo)
-    while True:
-        k = _direct_kurtosis(base, lo + span)
-        if k < k_prev:
-            return True
-        if k >= target:
-            return False
-        k_prev, span = k, 2.0 * span
+    x = search_outlier_on_points(base, 3.0).outlier_value
+    assert abs(_direct_kurtosis(base, x) - 3.0) < KAPPA_TOL
+    for beyond in (x + 1e-6, x * 1.01, 2 * x, 1e3 * x):
+        assert _direct_kurtosis(base, beyond) > 3.0
 
 
 @settings(max_examples=150)
@@ -324,8 +363,6 @@ def test_search_agrees_with_direct_moments(points, scale, shift, frac):
     k_sup = (m * m - m + 1) / m  # limit as the outlier grows without bound
     target = k_start + frac * (k_sup - k_start)
     assume(target - k_start > 1e-6)
-    # kurtosis need not rise from the maximum of an arbitrary base
-    assume(not _bracket_dips(base, target))
     res = search_outlier_on_points(base, target)
     direct = _direct_kurtosis(base, res.outlier_value)
     assert abs(direct - target) < KAPPA_TOL

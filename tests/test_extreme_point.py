@@ -70,6 +70,14 @@ def test_range_rejects_small_n():
             feasible_kurtosis_range(n)
 
 
+def test_infinite_n_is_a_domain_error():
+    # inf/inf made the interval (nan, nan], and every kappa looked infeasible
+    for call in (feasible_kurtosis_range, lambda n: solve_extreme_point(n, 7.0)):
+        with pytest.raises(DomainError, match="finite and at least 5, got inf") as err:
+            call(math.inf)
+        assert type(err.value) is DomainError
+
+
 def _floor_by_bisection(kappa):
     """Smallest n >= 5 with kappa in feasible_kurtosis_range(n), by plain
     bisection below a feasible size found by doubling."""
