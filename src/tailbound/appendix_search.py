@@ -139,9 +139,14 @@ def search_outlier_on_points(base_points: Sequence[float],
     """Find the largest outlier at which the dataset kurtosis equals
     target_kappa, to within KAPPA_TOL (relative above a target of 1000).
 
+    The search runs on the base scaled by the power of two that brings
+    max |x| into [1, 2), the identity on every shape base, so a base of any
+    finite magnitude is searched alike.
+
     Raises:
-        DomainError: a non-finite target_kappa, fewer than 4 base points, a
-            base with zero variance, or kurtosis sums past the float range.
+        DomainError: a non-finite target_kappa or base point, fewer than 4
+            base points, a base with zero variance, kurtosis sums past the
+            float range, or an outlier past it.
         BracketRangeError: target unreachable: not above the kurtosis of the
             base with the outlier resting on its maximum, or not below the
             supremum (m*m - m + 1)/m that the kurtosis approaches as the
@@ -152,7 +157,16 @@ def search_outlier_on_points(base_points: Sequence[float],
     base = sorted(map(float, base_points))
     if len(base) < 4:
         raise DomainError(f"need at least 4 base points, got {len(base)}")
-    return _search(base, None, target_kappa)
+    if not all(map(math.isfinite, base)):
+        raise DomainError("base points must be finite numbers")
+    e = math.frexp(max(-base[0], base[-1]))[1] - 1
+    res = _search([math.ldexp(x, -e) for x in base], None, target_kappa)
+    try:
+        return res._replace(outlier_value=math.ldexp(res.outlier_value, e))
+    except OverflowError:
+        raise DomainError(
+            f"the outlier at target kurtosis {target_kappa!r} is past the float range"
+        ) from None
 
 
 def search_outlier(kind: str, n: int, target_kappa: float) -> OutlierSearchResult:

@@ -108,11 +108,18 @@ def zelen_bound(t: float, theta3: float, theta4: float) -> BoundEvaluation:
     """Two-sided Zelen bound using the third and fourth moments.
 
     Raises:
+        DomainError: t, theta3 or theta4 not a finite number.
         MomentInfeasibleError: theta4 - theta3**2 - 1 <= 0 (no distribution
             has such moments).
         ThresholdTooSmallError: t below (theta3 + sqrt(theta3**2 + 4))/2,
             where the inequality does not hold.
     """
+    if not -math.inf < t < math.inf:
+        raise DomainError(f"threshold t must be a finite number, got {t!r}")
+    if not -math.inf < theta3 < math.inf:
+        raise DomainError(f"theta3 must be a finite number, got {theta3!r}")
+    if not -math.inf < theta4 < math.inf:
+        raise DomainError(f"theta4 must be a finite number, got {theta4!r}")
     denom = theta4 - theta3 * theta3 - 1.0
     if not denom > 0.0:
         raise MomentInfeasibleError(
@@ -132,9 +139,16 @@ def bhattacharyya_bound(t: float, theta3: float, kappa: float) -> BoundEvaluatio
     """One-sided upper-tail bound from the first four moments.
 
     Raises:
+        DomainError: t, theta3 or kappa not a finite number.
         MomentInfeasibleError: kappa - theta3**2 - 1 <= 0.
         ThresholdTooSmallError: t**2 - t*theta3 - 1 <= 0 (outside validity).
     """
+    if not -math.inf < t < math.inf:
+        raise DomainError(f"threshold t must be a finite number, got {t!r}")
+    if not -math.inf < theta3 < math.inf:
+        raise DomainError(f"theta3 must be a finite number, got {theta3!r}")
+    if not -math.inf < kappa < math.inf:
+        raise DomainError(f"kurtosis kappa must be a finite number, got {kappa!r}")
     d = kappa - theta3 * theta3 - 1.0
     if not d > 0.0:
         raise MomentInfeasibleError(

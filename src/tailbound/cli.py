@@ -315,7 +315,9 @@ def read_return_csv(path: str) -> list[float]:
         reader = csv.reader(fh)
         first_record_seen = False
         try:
-            for lineno, fields in enumerate(reader, start=1):
+            # messages give reader.line_num, the record's last physical line,
+            # since a quoted field can span lines
+            for fields in reader:
                 if 0 < len(fields) < 3:
                     # float() skips only whitespace that strip() also removes,
                     # so a value it parses is what the full checks below parse
@@ -333,7 +335,7 @@ def read_return_csv(path: str) -> list[float]:
                 fields = [f.strip() for f in fields]
                 if len(fields) > 2:
                     raise CsvFormatError(
-                        f"line {lineno}: expected `value` or `date,value`, "
+                        f"line {reader.line_num}: expected `value` or `date,value`, "
                         f"got {len(fields)} fields"
                     )
                 if not first_record_seen:
@@ -342,7 +344,7 @@ def read_return_csv(path: str) -> list[float]:
                         float(fields[-1])
                     except ValueError:
                         continue  # header line
-                values.append(_parse_number(fields[-1], lineno))
+                values.append(_parse_number(fields[-1], reader.line_num))
         except UnicodeDecodeError as exc:
             raise CsvFormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:

@@ -377,8 +377,12 @@ def blr_kurtosis(h: float, g: float) -> float:
     consistent inverse-time units; only h**2/g matters).
 
     Raises:
-        DomainError: g <= 0 or h < 0.
+        DomainError: h or g not a finite number, g <= 0 or h < 0.
     """
+    if not -math.inf < h < math.inf:
+        raise DomainError(f"volatility-of-volatility h must be a finite number, got {h!r}")
+    if not -math.inf < g < math.inf:
+        raise DomainError(f"mean-reversion rate g must be a finite number, got {g!r}")
     if not g > 0.0:
         raise DomainError(f"mean-reversion rate g must be positive, got {g!r}")
     if h < 0.0:
@@ -395,9 +399,13 @@ def blr_h_from_kurtosis(kappa: float, g: float) -> float:
     """Invert the BLR kurtosis link: h = sqrt(2g * ln(kappa/3)).
 
     Raises:
-        DomainError: kappa < 3 (the model cannot reach sub-normal kurtosis)
-            or g <= 0.
+        DomainError: kappa or g not a finite number, kappa < 3 (the model
+            cannot reach sub-normal kurtosis) or g <= 0.
     """
+    if not -math.inf < kappa < math.inf:
+        raise DomainError(f"kurtosis kappa must be a finite number, got {kappa!r}")
+    if not -math.inf < g < math.inf:
+        raise DomainError(f"mean-reversion rate g must be a finite number, got {g!r}")
     if not g > 0.0:
         raise DomainError(f"mean-reversion rate g must be positive, got {g!r}")
     if kappa < 3.0:

@@ -21,11 +21,13 @@ and the admissible root is the larger one,
 
 The smaller root is negative throughout the feasible kurtosis range, so the
 plus sign is canonical here; it is the choice that reproduces the reference
-shock tables.  The background level follows from the variance constraint,
+shock tables.  The background level follows from the variance constraint
+b**2 = n/(n-1) - a**2 * n/(n-1)**2; with r = (n-1)/(n+1) and the distance
+delta = kappa_max - kappa to the top of the range, so that nothing cancels,
 
-    b**2 = n/(n-1) - a**2 * n / (n-1)**2,
+    b**2 = n*r*delta / ((n-3) * (n*r + sqrt(r**2 - G))),
 
-and the third moment of the configuration is
+which is 0 exactly at the top.  The third moment of the configuration is
 
     E[X**3] = -3*a/(n-1) + (n+1)*a**3/(n-1)**2.
 
@@ -211,21 +213,14 @@ def _solve(n: float, kappa: float) -> tuple[float, float, float, float]:
     nf = float(n)
     r = (nf - 1) / (nf + 1)
     g = r * ((nf - 1) / (nf - 3)) * (nf - (nf - 1) * kappa)
-
-    if kappa == k_max and g > -math.inf:
-        # Samuelson endpoint (an overflowed g goes on to the DomainError
-        # below): exact arithmetic avoids a root-cancellation wobble of
-        # order 1e-16 that would make b_squared dip negative.
+    if g == -math.inf:  # (n-1)*kappa overflowed
+        raise DomainError(f"n*kappa = {n!r}*{kappa!r} is past the float range")
+    if kappa == k_max:  # Samuelson endpoint, exactly
         return nf, g, nf - 1.0, 0.0
-    a_sq = r + math.sqrt(r * r - g)
-    b_sq = nf / (nf - 1) - a_sq / (nf - 1) * nf / (nf - 1)
-    if b_sq < 0.0:
-        if g == -math.inf:  # (n-1)*kappa overflowed, so a_sq is inf
-            raise DomainError(f"n*kappa = {n!r}*{kappa!r} is past the float range")
-        if b_sq < -1e-9:  # cannot happen inside the feasible range
-            raise InfeasibleKurtosisError(n, kappa, k_min, k_max)
-        b_sq = 0.0
-    return nf, g, a_sq, b_sq
+    # b**2 from delta = k_max - kappa, taken at the range check's float
+    # endpoint: >= 0, exact near it (Sterbenz), and no factor exceeds ~n
+    s = math.sqrt(r * r - g)
+    return nf, g, r + s, (k_max - kappa) / (nf - 3) * (nf * r / (nf * r + s))
 
 
 def asymptotic_a(n: float, kappa: float) -> float:

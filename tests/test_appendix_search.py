@@ -289,14 +289,51 @@ def test_base_size_past_every_float_is_a_domain_error(kind):
 
 
 def test_root_past_the_float_range_is_a_domain_error():
-    # one ulp below the supremum 3.25 the root sits near 2e78 on this base,
-    # where its fourth power has no float; at 1e60 it is still in range
+    # one ulp below the supremum 3.25 the root sits near 1.8e8 times the
+    # base's magnitude; the base is searched scaled to max |x| in [1, 2), so
+    # at 1e70 it is found as at 1e60, and only at 1e300 has it no float
     target = math.nextafter(3.25, 0.0)
     base = [-1.0, -0.5, 0.25, 1.0]
-    res = search_outlier_on_points([1e60 * v for v in base], target)
-    assert abs(res.achieved_kappa - target) < KAPPA_TOL
-    with pytest.raises(DomainError, match="a base of 4 points is too large"):
-        search_outlier_on_points([1e70 * v for v in base], target)
+    for scale in (1e60, 1e70):
+        res = search_outlier_on_points([scale * v for v in base], target)
+        assert abs(res.achieved_kappa - target) < KAPPA_TOL
+        assert res.a_statistic == 2.0
+    with pytest.raises(DomainError, match="past the float range"):
+        search_outlier_on_points([1e300 * v for v in base], target)
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+def test_non_finite_base_point_is_a_domain_error(point):
+    # nan and inf read as zero variance before
+    with pytest.raises(DomainError, match="base points must be finite"):
+        search_outlier_on_points([0.0, 1.0, 2.0, point], 3.0)
+
+
+@pytest.mark.parametrize("base", [[0.0, 1.0, 2.0, 1e150], [0.0, 1e-300, 2e-300, 3e-300, 4e-300]],
+                         ids=["huge", "tiny"])
+def test_point_bases_of_extreme_magnitude_are_searched(base):
+    # 1e150 made an inf - inf in the sums; 1e-300 read as zero variance
+    res = search_outlier_on_points(base, 3.0)
+    assert abs(res.achieved_kappa - 3.0) < KAPPA_TOL
+    assert res.outlier_value > base[-1]
+
+
+@settings(max_examples=200)
+@given(
+    base=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=4, max_size=12),
+    kappa=st.floats(min_value=1.0, max_value=10.0),
+    k=st.sampled_from([-1000, -300, 7, 300, 900]),
+)
+def test_point_search_is_invariant_under_a_power_of_two(base, kappa, k):
+    scaled = [math.ldexp(x, k) for x in base]
+    assume(all(math.ldexp(x, -k) == y for x, y in zip(scaled, base)))  # scaling exact
+    want = _outcome(search_outlier_on_points, base, kappa)
+    got = _outcome(search_outlier_on_points, scaled, kappa)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert got.outlier_value == math.ldexp(want.outlier_value, k)
+        assert got[::2] == want[::2]  # a_statistic and achieved_kappa
 
 
 def test_two_thirds_base_at_1e154_still_reaches_the_target():

@@ -115,6 +115,21 @@ def test_zelen_domain_rejection():
         zelen_bound(2.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bound, position, name", [
+    (zelen_bound, 0, "threshold t"), (zelen_bound, 1, "theta3"), (zelen_bound, 2, "theta4"),
+    (bhattacharyya_bound, 0, "threshold t"), (bhattacharyya_bound, 1, "theta3"),
+    (bhattacharyya_bound, 2, "kurtosis kappa"),
+], ids=["zelen-t", "zelen-theta3", "zelen-theta4", "bhatt-t", "bhatt-theta3", "bhatt-kappa"])
+def test_non_finite_argument_is_a_domain_error(bound, position, name, bad):
+    # a nan probability came back before, or a moment error about "nan"
+    args = [3.0, 0.0, 5.0]
+    args[position] = bad
+    with pytest.raises(DomainError, match=f"^{name} must be a finite number") as err:
+        bound(*args)
+    assert type(err.value) is DomainError
+
+
 @given(
     st.floats(min_value=-2.0, max_value=2.0),
     st.floats(min_value=0.01, max_value=50.0),

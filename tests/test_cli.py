@@ -388,6 +388,19 @@ def test_empirical_bad_value_reports_line_number(run_cli, tmp_path):
     assert "line 3" in res.stderr
 
 
+@pytest.mark.parametrize("tail", ["abc", "1,2,3"], ids=["value", "fields"])
+def test_empirical_line_numbers_count_lines_inside_quoted_fields(tmp_path, capsys, tail):
+    # the quoted first record spans lines 1-2, so the bad record is on line 8,
+    # not the 7th record
+    path = tmp_path / "quoted.csv"
+    path.write_text('"1\n2"\n3\n4\n5\n6\n7\n' + tail + "\n", encoding="utf-8")
+    code = cli.main(["empirical", str(path), "--tail-factor", "5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("tailbound: error: line 8: ")
+
+
 def test_empirical_too_many_fields(run_cli, tmp_path):
     path = tmp_path / "wide.csv"
     path.write_text("1.0\n2.0,3.0,4.0\n", encoding="utf-8")

@@ -367,6 +367,19 @@ def test_blr_rejects_bad_arguments():
         blr_h_from_kurtosis(2.9, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("link, position, name", [
+    (blr_kurtosis, 0, "volatility-of-volatility h"), (blr_kurtosis, 1, "mean-reversion rate g"),
+    (blr_h_from_kurtosis, 0, "kurtosis kappa"), (blr_h_from_kurtosis, 1, "mean-reversion rate g"),
+], ids=["kurtosis-h", "kurtosis-g", "h-kappa", "h-g"])
+def test_blr_links_reject_non_finite_arguments(link, position, name, bad):
+    # nan or inf came back before
+    args = [1.0, 1.0] if link is blr_kurtosis else [7.0, 1.0]
+    args[position] = bad
+    with pytest.raises(DomainError, match=f"^{name} must be a finite number"):
+        link(*args)
+
+
 def test_blr_table_matches_reference():
     for label, row in goldens.BLR_GRID.items():
         for kappa, want in zip(goldens.KAPPAS, row):

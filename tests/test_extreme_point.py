@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -240,6 +241,45 @@ def test_quadratic_residual_property(n, fraction):
     assert abs(residual) / max(1.0, abs(sol.g_value)) < 1e-9
     assert 0.0 < sol.a <= sol.samuelson_bound * (1 + 1e-12)
     assert sol.b_squared >= 0.0
+
+
+def _exact_b_squared(n, kappa):
+    """b**2 = n*r*delta / ((n-3)*(n*r + sqrt(r**2 - G))) in Fractions, with
+    delta measured from the float kappa_max of the feasibility test and the
+    one square root bracketed by math.isqrt to 256 bits."""
+    nq, kq, k_max = Fraction(float(n)), Fraction(kappa), Fraction(feasible_kurtosis_range(n)[2])
+    r = (nq - 1) / (nq + 1)
+    x = r * r - r * (nq - 1) / (nq - 3) * (nq - (nq - 1) * kq)  # >= 0.4 here
+    root = Fraction(math.isqrt((x.numerator << 512) // x.denominator), 1 << 256)
+    return nq * r * (k_max - kq) / ((nq - 3) * (nq * r + root))
+
+
+@st.composite
+def feasible_pairs(draw):
+    """(n, kappa): n an int, an integral float or a fractional float from 5
+    to 1e15; kappa log-uniformly 1e-16..1e-1 relative below the top or above
+    the bottom of the feasible range, anywhere in it, or at the top."""
+    x = 10.0 ** draw(st.floats(min_value=math.log10(5.0), max_value=15.0))
+    n = draw(st.sampled_from([int(x), float(int(x)), x]))
+    rng = feasible_kurtosis_range(n)
+    t = 10.0 ** draw(st.floats(min_value=-16.0, max_value=-1.0))
+    bulk = rng.kappa_min + draw(st.floats(min_value=0.0, max_value=1.0)) * (rng.kappa_max - rng.kappa_min)
+    kappa = draw(st.sampled_from([rng.kappa_max * (1.0 - t), rng.kappa_min * (1.0 + t), bulk,
+                                  rng.kappa_max]))
+    return n, min(max(kappa, math.nextafter(rng.kappa_min, math.inf)), rng.kappa_max)
+
+
+@settings(max_examples=1000)
+@example((1684.0, 1682.0005941770646))  # the old subtraction was 1.25e16 ulps off here
+@given(feasible_pairs())
+def test_b_squared_is_within_4_ulps_of_the_exact_value(pair):
+    n, kappa = pair
+    b_sq = solve_extreme_point(n, kappa).b_squared
+    want = _exact_b_squared(n, kappa)
+    assert b_sq >= 0.0
+    assert (b_sq == 0.0) == (kappa == feasible_kurtosis_range(n).kappa_max)
+    if want:
+        assert abs(Fraction(b_sq) - want) <= 4 * Fraction(math.ulp(float(want)))
 
 
 @given(sizes, fractions)

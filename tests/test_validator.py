@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailbound import (
@@ -266,6 +266,26 @@ def test_verdict_sign_convention(n, kappa, offset):
         assert v.passed
     elif required + offset < required:  # offset survives float addition
         assert not v.passed
+
+
+@settings(max_examples=500)
+@given(
+    st.floats(min_value=math.log10(5.0), max_value=6.0),
+    st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    st.sampled_from([-1, 0, 1]),
+)
+def test_passed_exactly_when_the_history_is_safe(log_n, fraction, step):
+    # tail factors at a(n) and its two float neighbours, where a float
+    # verdict and a float search in n could disagree
+    n = int(10.0**log_n)
+    rng = feasible_kurtosis_range(n)
+    kappa = rng.kappa_max if fraction == 1.0 else (
+        rng.kappa_min + fraction * (rng.kappa_max - rng.kappa_min))
+    assume(kappa in rng)
+    a = required_tail_factor(n, kappa)
+    tail = a if step == 0 else math.nextafter(a, step * math.inf)
+    v = validate_model(tail, n, kappa)
+    assert v.passed == (v.max_safe_history is None or v.max_safe_history >= n)
 
 
 # ---------------------------------------------------------------------------
