@@ -28,11 +28,12 @@ outlier vanishes, whose leading coefficient is positive exactly when K lies
 below the supremum (m*m - m + 1)/m; that test is made in integers.  Newton
 steps from Fujiwara's root bound return the largest root, since kurtosis
 need not rise from the base's maximum: for [0, 0, 0.5, -1] it falls from
-2.5 at 0.5 to about 2.22 at 1.  A direct compensated pass over the final
-dataset gives the reported figures and checks the kurtosis against
-KAPPA_TOL.  Both passes take the base as ascending (value, count) levels
-and form each weighted sum as one exact integer, equal to the sum over the
-expanded list bit for bit and O(1) in m for the three level shapes.
+2.5 at 0.5 to about 2.22 at 1, so a target of 2.4 is met near 1.9.  A
+direct compensated pass over the final dataset gives the reported figures
+and checks the kurtosis against KAPPA_TOL.  Both passes take the base as
+ascending (value, count) levels and form each weighted sum as one exact
+integer, equal to the sum over the expanded list bit for bit and O(1) in m
+for the three level shapes.
 The uniform grid costs O(m), about 1 us and 115 bytes per point, so a
 uniform base above UNIFORM_MAX_M points is rejected before it is built.
 """
@@ -147,10 +148,9 @@ def search_outlier_on_points(base_points: Sequence[float],
         DomainError: a non-finite target_kappa or base point, fewer than 4
             base points, a base with zero variance, kurtosis sums past the
             float range, or an outlier past it.
-        BracketRangeError: target unreachable: not above the kurtosis of the
-            base with the outlier resting on its maximum, or not below the
-            supremum (m*m - m + 1)/m that the kurtosis approaches as the
-            outlier grows.
+        BracketRangeError: target unreachable: no outlier above the base
+            maximum reaches it, or it is not below the supremum
+            (m*m - m + 1)/m that the kurtosis approaches as the outlier grows.
         SearchError: the kurtosis of the dataset found misses the target by
             more than KAPPA_TOL.
     """
@@ -213,15 +213,12 @@ def _search(values, counts, target_kappa) -> OutlierSearchResult:
     c2 = 2.0 * s2 * (3.0 / n - target_kappa * b2)
     c1 = -4.0 * s3
     c0 = n * s4 - target_kappa * s2 * s2
+    # f < 0 with the outlier on the base's maximum puts a root above it; else
+    # one may still lie past a dip in the kurtosis, and the report decides
     d = values[-1] - c
     d2 = d * d
-    f = (c4 * d2 + c2) * d2 + c1 * d + c0
-    if not f < 0.0:
-        t2 = s2 + b2 * d2
-        raise BracketRangeError(
-            f"target kurtosis {target_kappa!r} is not above the starting value "
-            f"{target_kappa + f / (t2 * t2)!r}; nothing to search"
-        )
+    f_start = (c4 * d2 + c2) * d2 + c1 * d + c0
+    t2_start = s2 + b2 * d2
 
     # Newton steps fall from Fujiwara's bound, above every root and where f is
     # convex, to the largest root and stop when rounding halts them; one that
@@ -249,7 +246,13 @@ def _search(values, counts, target_kappa) -> OutlierSearchResult:
     variance = _wsum(sq, counts) / n
     kappa = _wsum(map(mul, sq, sq), counts) / n / (variance * variance)
     tol = KAPPA_TOL * max(1.0, target_kappa / 1000.0)
-    if not abs(kappa - target_kappa) <= tol:
+    missed = not abs(kappa - target_kappa) <= tol
+    if not f_start < 0.0 and (missed or not x > values[-1]):
+        raise BracketRangeError(
+            f"target kurtosis {target_kappa!r} is not above the starting value "
+            f"{target_kappa + f_start / (t2_start * t2_start)!r}; nothing to search"
+        )
+    if missed:
         raise SearchError(
             f"the outlier {x!r} gives kurtosis {kappa!r}, not {target_kappa!r} +- {tol}"
         )

@@ -97,10 +97,11 @@ def even_moment_endpoint(n: float, kappa: float) -> BoundEvaluation:
     threshold (kappa*n)**(1/4) at probability exactly 1/n.
 
     Raises:
-        DomainError: n < 1, or kappa not a finite positive number.
+        DomainError: n not a finite number of at least 1, or kappa not a
+            finite positive number.
     """
-    if not n >= 1:
-        raise DomainError(f"n must be at least 1, got {n!r}")
+    if not 1 <= n < math.inf:
+        raise DomainError(f"n must be finite and at least 1, got {n!r}")
     return even_moment_bound(n ** 0.25, 2, kappa)
 
 

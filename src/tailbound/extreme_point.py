@@ -136,52 +136,30 @@ def _kappa_bounds(n: float) -> tuple[float, float]:
     return m / (m - 1), (m * m - 3 * m + 3) / (m - 1)
 
 
-def _first_true(pred, lo: int, guess: int) -> int:
-    """Smallest integer n >= lo with pred(n), for a pred false then true on
-    n >= lo.  Probes guess >= lo, then 1, 2, 4, ... away from it until pred
-    changes, and bisects that bracket: O(log |guess - answer|) calls of pred."""
-    if pred(guess):
-        bad, good, step = lo - 1, guess, 1  # lo - 1 is never probed
-        while guess - step >= lo:
-            if not pred(guess - step):
-                bad = guess - step
-                break
-            good, step = guess - step, 2 * step
-    else:
-        bad, step = guess, 1
-        while not pred(guess + step):
-            bad, step = guess + step, 2 * step
-        good = guess + step
-    while good - bad > 1:
-        mid = (bad + good) // 2
-        bad, good = (bad, mid) if pred(mid) else (mid, good)
-    return good
-
-
 def feasible_floor(kappa: float) -> int:
     """Smallest integer n >= 5 whose feasible kurtosis range contains kappa.
 
     Feasibility in n is an up-set, so every larger n is feasible too.  The
-    search from a float estimate costs time logarithmic in the estimate's
-    error, which is large above kappa ~ 1e21 and within ~ 1e-12 of 1.
+    floor is in closed form for any kappa: one evaluation of the range.
 
     Raises:
         DomainError: kappa not a finite number above 1.
     """
     if not 1.0 < kappa < math.inf:
         raise DomainError(f"kurtosis must be a finite number above 1, got {kappa!r}")
-    # kappa <= kappa_max(n) is quadratic in n; its larger root, written with
-    # s = kappa + 3 so that it cannot overflow, is s*(1 + sqrt(1 - 4/s))/2
-    s = kappa + 3.0
-    guess = max(5, math.ceil(s * (0.5 + 0.5 * math.sqrt(1.0 - 4.0 / s))))
-    if kappa <= 1.25:  # lower endpoint n/(n-1) binds instead
-        guess = max(guess, math.floor(kappa / (kappa - 1.0)) + 1)
-
-    def feasible(n: int) -> bool:
-        k_min, k_max = _kappa_bounds(n)
-        return k_min < kappa <= k_max
-
-    return _first_true(feasible, 5, guess)
+    # a rounded endpoint is >= kappa when the exact one lies above mu = p/q,
+    # the midpoint of kappa and its float predecessor, < kappa below it, and
+    # either at a tie.  With m = n - 1, kappa_max = m - 1 + 1/m lies in
+    # (m - 1, m - 3/4] for m >= 4: reaching mu needs m >= mu + 3/4, and
+    # m >= mu + 7/4 clears it.  kappa_min = 1 + 1/m falls to mu at
+    # m = 1/(mu - 1) and below it one size later.  So n, the least size both
+    # needs allow, is never above the floor and at most one size below it.
+    a, b = kappa.as_integer_ratio()
+    c, d = (kappa - math.nextafter(kappa, 0.0)).as_integer_ratio()  # exact gap
+    p, q = 2 * a * d - b * c, 2 * b * d
+    n = 1 + max(4, -(-(4 * p + 3 * q) // (4 * q)), -(-q // (p - q)))
+    k_min, k_max = _kappa_bounds(n)
+    return n if k_min < kappa <= k_max else n + 1
 
 
 def solve_extreme_point(n: float, kappa: float) -> ExtremePointSolution:
@@ -232,12 +210,13 @@ def asymptotic_a(n: float, kappa: float) -> float:
     falls below the exact root; this one tracks it from above.
 
     Raises:
-        DomainError: kappa <= 1 or n < 5.
+        DomainError: n not a finite number of at least 5, or kappa not a
+            finite number above 1.
     """
-    if not n >= 5:
-        raise DomainError(f"sample size must be at least 5, got {n!r}")
-    if not kappa > 1.0:
-        raise DomainError(f"kurtosis must exceed 1, got {kappa!r}")
+    if not 5 <= n < math.inf:
+        raise DomainError(f"sample size must be finite and at least 5, got {n!r}")
+    if not 1.0 < kappa < math.inf:
+        raise DomainError(f"kurtosis must be a finite number above 1, got {kappa!r}")
     return math.sqrt(math.sqrt(1.0 + n * (kappa - 1.0)) + 1.0)
 
 
@@ -245,10 +224,10 @@ def samuelson_bound(n: float) -> float:
     """Kurtosis-free ceiling sqrt(n-1) on any standardised deviation.
 
     Raises:
-        DomainError: n < 2.
+        DomainError: n not a finite number of at least 2.
     """
-    if not n >= 2:
-        raise DomainError(f"sample size must be at least 2, got {n!r}")
+    if not 2 <= n < math.inf:
+        raise DomainError(f"sample size must be finite and at least 2, got {n!r}")
     return math.sqrt(n - 1)
 
 

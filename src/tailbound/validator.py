@@ -18,7 +18,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .distributions import blr_tail_factor
 from .errors import DegenerateDataError, DomainError
 from .extreme_point import (
-    _first_true,
     _kappa_bounds,
     _solve,
     feasible_floor,
@@ -95,6 +94,28 @@ def _crossing(tail_factor: float, kappa: float) -> float:
         if not m_next < m:
             return m + 1.0
         m = m_next
+
+
+def _first_true(pred, lo: int, guess: int) -> int:
+    """Smallest integer n >= lo with pred(n), for a pred false then true on
+    n >= lo.  Probes guess >= lo, then 1, 2, 4, ... away from it until pred
+    changes, and bisects that bracket: O(log |guess - answer|) calls of pred."""
+    if pred(guess):
+        bad, good, step = lo - 1, guess, 1  # lo - 1 is never probed
+        while guess - step >= lo:
+            if not pred(guess - step):
+                bad = guess - step
+                break
+            good, step = guess - step, 2 * step
+    else:
+        bad, step = guess, 1
+        while not pred(guess + step):
+            bad, step = guess + step, 2 * step
+        good = guess + step
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        bad, good = (bad, mid) if pred(mid) else (mid, good)
+    return good
 
 
 def max_safe_history(

@@ -380,6 +380,22 @@ def test_search_past_a_kurtosis_dip_returns_the_largest_root():
         assert _direct_kurtosis(base, beyond) > 3.0
 
 
+@pytest.mark.parametrize("target", [2.3, 2.4])
+def test_target_below_the_start_is_reached_past_a_kurtosis_dip(target):
+    # the kurtosis is 2.5 with the outlier on the maximum 0.5, dips to about
+    # 2.22 and rises again, so these targets have a root above the maximum
+    base = [0.0, 0.0, 0.5, -1.0]
+    res = search_outlier_on_points(base, target)
+    assert res.outlier_value > 0.5
+    assert abs(_direct_kurtosis(base, res.outlier_value) - target) <= KAPPA_TOL
+
+
+@pytest.mark.parametrize("target", [2.2, 1.5])
+def test_target_below_the_dip_is_rejected(target):
+    with pytest.raises(BracketRangeError, match="starting value 2.5"):
+        search_outlier_on_points([0.0, 0.0, 0.5, -1.0], target)
+
+
 @settings(max_examples=150)
 @given(
     points=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=300),

@@ -78,6 +78,14 @@ def test_even_moment_rejects_bad_inputs():
             even_moment_endpoint(1000, bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_even_moment_endpoint_names_a_non_finite_n(bad):
+    # an infinite n was blamed on the "threshold multiplier t" before; a
+    # non-finite kappa is covered by test_even_moment_rejects_bad_inputs
+    with pytest.raises(DomainError, match="^n must be finite"):
+        even_moment_endpoint(bad, 7.0)
+
+
 # ---------------------------------------------------------------------------
 # Zelen bound
 # ---------------------------------------------------------------------------

@@ -682,8 +682,8 @@ HISTORY_FLOOR_FAR_FROM_ITS_ESTIMATE = [
 @pytest.mark.parametrize("argv", HISTORY_FLOOR_FAR_FROM_ITS_ESTIMATE,
                          ids=["kurtosis-1e150", "kurtosis-near-1"])
 def test_history_floor_far_from_its_estimate_exits_3_promptly(run_cli, argv):
-    # the feasibility floor of these kurtoses lies many sizes from its float
-    # estimate; the timeout fails a search that walks there one size at a time
+    # the feasibility floor of these kurtoses lies near 10**150 or near
+    # 2**40; the timeout fails a search that walks there one size at a time
     res = run_cli(*argv, timeout=10)
     assert res.returncode == 3
     assert res.stdout == ""

@@ -22,6 +22,7 @@ from tailbound import (
     samuelson_bound,
     solve_extreme_point,
 )
+from tailbound import extreme_point
 
 
 def feasible_kappa(n: float, fraction: float) -> float:
@@ -97,8 +98,8 @@ def _floor_by_bisection(kappa):
 
 @given(st.floats(min_value=-52.0, max_value=math.log2(1.7e308)))
 def test_feasible_floor_matches_bisection(time_limit, log2_excess):
-    # kappa - 1 log-uniform from 2**-52 to 1.7e308 reaches both ends where
-    # the float estimate is many sizes off
+    # kappa - 1 log-uniform from 2**-52 to 1.7e308 reaches both ends of the
+    # float range, where the floor has 16 and 309 digits
     kappa = 1.0 + 2.0**log2_excess
     with time_limit(5):
         assert feasible_floor(kappa) == _floor_by_bisection(kappa)
@@ -116,6 +117,62 @@ def test_feasible_floor_at_the_extremes_is_exact_and_quick():
                          text=True, timeout=10)
     assert res.returncode == 0, res.stderr
     assert list(map(int, res.stdout.split())) == list(map(_floor_by_bisection, FLOOR_EXTREMES))
+
+
+def _with_neighbours(kappas):
+    return [k for kappa in kappas
+            for k in (math.nextafter(kappa, 0.0), kappa, math.nextafter(kappa, math.inf))
+            if 1.0 < k < math.inf]
+
+
+# kappas where a rounded range endpoint flips across them, each with its
+# float neighbours: both endpoints of a spread of sizes, powers of two and
+# 3 * 2**k near 2**53 and 2**1023, and 1 + 2**-k
+FLOOR_EDGES = {
+    "range-endpoints": _with_neighbours(
+        e for n in range(5, 4000, 11) for e in feasible_kurtosis_range(n)[1:]),
+    "powers-of-two": _with_neighbours(2.0**k for k in (*range(45, 62), *range(1000, 1024))),
+    "three-times-powers-of-two": _with_neighbours(
+        3.0 * 2.0**k for k in (*range(45, 62), *range(1000, 1023))),
+    "one-plus-powers-of-two": _with_neighbours(1.0 + 2.0**-k for k in range(1, 53)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FLOOR_EDGES))
+def test_feasible_floor_at_rounding_edges(family):
+    # one ulp decides here whether a size is feasible, so a floor taken from
+    # the real-number endpoints alone would be a size off
+    for kappa in FLOOR_EDGES[family]:
+        assert feasible_floor(kappa) == _floor_by_bisection(kappa), kappa
+
+
+def _range_evaluations(kappa):
+    """Number of _kappa_bounds calls one feasible_floor(kappa) makes."""
+    calls, kappa_bounds = [], extreme_point._kappa_bounds
+
+    def counted(n):
+        calls.append(n)
+        return kappa_bounds(n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extreme_point, "_kappa_bounds", counted)
+        feasible_floor(kappa)
+    return len(calls)
+
+
+def test_feasible_floor_evaluates_the_range_once_at_the_extremes(time_limit):
+    # a galloping search from a float estimate needed 41 to 1,941 at these
+    with time_limit(5):
+        assert list(map(_range_evaluations, FLOOR_EXTREMES)) == [1] * len(FLOOR_EXTREMES)
+
+
+@given(st.one_of(
+    st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    st.floats(min_value=-52.0, max_value=math.log2(1.7e308)).map(lambda e: 1.0 + 2.0**e),
+))
+def test_feasible_floor_evaluates_the_range_once(time_limit, kappa):
+    with time_limit(5):
+        assert _range_evaluations(kappa) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +399,18 @@ def test_asymptotic_agreement_at_large_n():
             exact = solve_extreme_point(n, kappa).a
             approx = asymptotic_a(n, kappa)
             assert abs(approx - exact) / exact < 0.01
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, name", [
+    (lambda x: asymptotic_a(x, 7.0), "sample size"),
+    (lambda x: asymptotic_a(10, x), "kurtosis"),
+    (samuelson_bound, "sample size"),
+], ids=["asymptotic-n", "asymptotic-kappa", "samuelson-n"])
+def test_non_finite_argument_is_a_domain_error(call, name, bad):
+    # inf came back before; the message names the argument at fault
+    with pytest.raises(DomainError, match=f"^{name} must be (a )?finite"):
+        call(bad)
 
 
 def test_asymptotic_degenerate_kurtosis_limit():
