@@ -190,8 +190,11 @@ def _solve(n: float, kappa: float) -> tuple[float, float, float, float]:
     # result, so neither a huge int n nor (n-1)**2 overflows
     nf = float(n)
     r = (nf - 1) / (nf + 1)
-    g = r * ((nf - 1) / (nf - 3)) * (nf - (nf - 1) * kappa)
-    if g == -math.inf:  # (n-1)*kappa overflowed
+    # n - (n-1)*kappa as 1 - (n-1)*(kappa-1): kappa - 1 is exact, and near
+    # kappa_min so is the subtraction, so the factor keeps the product's one
+    # rounding instead of an error of ulp(n)
+    g = r * ((nf - 1) / (nf - 3)) * (1.0 - (nf - 1) * (kappa - 1.0))
+    if g == -math.inf:  # (n-1)*(kappa-1) overflowed
         raise DomainError(f"n*kappa = {n!r}*{kappa!r} is past the float range")
     if kappa == k_max:  # Samuelson endpoint, exactly
         return nf, g, nf - 1.0, 0.0
@@ -217,7 +220,8 @@ def asymptotic_a(n: float, kappa: float) -> float:
         raise DomainError(f"sample size must be finite and at least 5, got {n!r}")
     if not 1.0 < kappa < math.inf:
         raise DomainError(f"kurtosis must be a finite number above 1, got {kappa!r}")
-    return math.sqrt(math.sqrt(1.0 + n * (kappa - 1.0)) + 1.0)
+    # sqrt(1 + n*(kappa-1)) as a hypot of square roots, which cannot overflow
+    return math.sqrt(math.hypot(1.0, math.sqrt(n) * math.sqrt(kappa - 1.0)) + 1.0)
 
 
 def samuelson_bound(n: float) -> float:

@@ -72,6 +72,35 @@ def test_shock_table_csv_round_trips_at_full_precision(run_cli):
             assert float(cell) == solve_extreme_point(n, kappa).a
 
 
+def test_shock_table_near_kappa_min_prints_the_exact_digits(capsys):
+    # G was formed as n - (n-1)*kappa, which printed 1.491557849730 here
+    code = cli.main(["shock-table", "--n", "1000000001", "--kurtosis", "1.0000000015",
+                     "--precision", "12", "--format", "csv"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out.splitlines()[1] == "1000000001,31622.776601683792,1.491557852642"
+
+
+@pytest.mark.parametrize("argv", [["shock-table"], ["bounds", "--method", "zelen"]])
+def test_default_kurtosis_labels_are_unchanged(argv, capsys):
+    cli.main(argv + ["--format", "json"])
+    columns = json.loads(capsys.readouterr()[0])["columns"]
+    assert columns[-4:] == ["kurtosis=7", "kurtosis=10", "kurtosis=13", "kurtosis=16"]
+
+
+@pytest.mark.parametrize("argv", [["shock-table"], ["bounds", "--method", "even-moment"]])
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_kurtosis_labels_that_g_merges_stay_distinct(argv, fmt, capsys):
+    # both read "kurtosis=7" in %g form
+    code = cli.main(argv + ["--n", "1000", "--kurtosis", "7.0000001", "7.0000002", "7.5",
+                            "--format", fmt])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    for label in ("kurtosis=7.0000001", "kurtosis=7.0000002", "kurtosis=7.5"):
+        assert out.count(label) == 1
+    assert "kurtosis=7," not in out and "kurtosis=7 " not in out and 'kurtosis=7"' not in out
+
+
 def test_shock_table_output_file(run_cli, tmp_path):
     target = tmp_path / "table.md"
     res = run_cli("shock-table", "--n", 250, "--output", str(target))
@@ -523,6 +552,77 @@ def test_reader_matches_reference(tmp_path_factory, header, rows, last_eol):
     expected = _read_outcome(_reference_read_return_csv, str(path))
     got = _read_outcome(cli.read_return_csv, str(path))
     assert repr(got) == repr(expected)
+
+
+def _block_csv(path, text):
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        took_blocks = cli._read_blocks(fh) is not None
+    return took_blocks, _read_outcome(cli.read_return_csv, str(path))
+
+
+_LONG_VALUE = "0." + "0" * 140_000 + "1"  # finite, and longer than the field limit
+
+
+@pytest.mark.parametrize("dated", [False, True], ids=["value", "date-value"])
+@pytest.mark.parametrize("irregular", [
+    "0.5\r", "0.5\r0.25", '"0.5"', "", " \t", "a,b,0.5", "nan", "value",
+    "2024-01-02,0.5", "0.5", _LONG_VALUE,
+], ids=["crlf", "cr", "quote", "blank", "whitespace", "three-fields", "nan",
+        "header-like", "dated", "plain", "long-value"])
+def test_reader_falls_back_after_the_first_block(tmp_path, dated, irregular):
+    # 8,000 rows of 20 to 32 characters span at least two 64 KiB blocks, and
+    # row 6,000 lies past the first
+    rng = random.Random(20191)
+    rows = [f"{rng.gauss(0.0, 0.01)!r}" for _ in range(8000)]
+    if dated:
+        rows = [f"2024-01-{i % 28 + 1:02d},{v}" for i, v in enumerate(rows)]
+    header = "date,value\n" if dated else "value\n"
+    path = tmp_path / "long.csv"
+    took_blocks, got = _block_csv(path, header + "\n".join(rows) + "\n")
+    assert took_blocks and got == _reference_read_return_csv(str(path))
+    rows.insert(6000, irregular)
+    took_blocks, got = _block_csv(path, header + "\n".join(rows) + "\n")
+    assert took_blocks == (irregular == ("2024-01-02,0.5" if dated else "0.5"))
+    if irregular == _LONG_VALUE:
+        assert got == ("CsvFormatError", f"line 6002: field larger than field limit "
+                                         f"({csv.field_size_limit()})")
+    else:
+        assert repr(got) == repr(_read_outcome(_reference_read_return_csv, str(path)))
+
+
+@pytest.mark.parametrize("text, took_blocks", [
+    ("\x1c1.5\n2.5\n", False),  # float() keeps \x1c, strip() removes it
+    ("2.5\n\x1c1.5\n", False),
+    ("value\n1.5\n2.5", True),  # no final newline
+    ("date,value\n2024-01-01,1.5\n2024-01-02,2.5", True),
+    ("value\n2024-01-01,1.5\n2024-01-02,2.5\n", True),  # 1-column header, 2-column data
+    ("1.5\n2024-01-01,2.5\n", False),  # a value, not a header, over 2-column data
+    ("a,b,c\n2024-01-01,1.5\n", False),  # 3 fields are an error, not a header
+    (" , \nvalue\n1.5\n", False),  # a blank line, then the header
+    ("\n1.5\n2.5\n", True),  # a blank first line holds no value
+    ("", True),
+    ("value", True),
+    ("value\n1.5\n\n", False),  # a blank last line
+    # a quoted date spans three lines, each with one comma and a float after it
+    ('"x,1\n2024-01-01,1.5\ny",2.5\n', False),
+    ("2024-01-01,1.5\na\r,2.5\n", False),  # the CR ends a record whose one field is "a"
+], ids=["x1c-first", "x1c-later", "no-final-newline", "no-final-newline-dated",
+        "value-header-dated-data", "value-over-dated-data", "three-field-first-line",
+        "blank-then-header", "blank-first-line", "empty", "header-only", "blank-last-line",
+        "quoted-lines", "cr-inside-a-line"])
+def test_reader_edge_cases_match_reference(tmp_path, text, took_blocks):
+    assert _block_csv(tmp_path / "edge.csv", text) == (
+        took_blocks, _read_outcome(_reference_read_return_csv, str(tmp_path / "edge.csv")))
+
+
+def test_reader_reports_a_bad_value_before_a_later_bad_byte(tmp_path):
+    # reading the first 64 KiB block meets the bad byte; the record loop
+    # decodes 8 KiB at a time and meets the bad value on line 2 first
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(b"1.5\nabc\n" + b"2.5\n" * 5000 + b"\xff\n")
+    got = _read_outcome(cli.read_return_csv, str(path))
+    assert got == ("CsvFormatError", "line 2: cannot parse value 'abc'")
 
 
 def _gauss_csv(path, scale):

@@ -300,15 +300,32 @@ def test_quadratic_residual_property(n, fraction):
     assert sol.b_squared >= 0.0
 
 
+def _root(x):
+    """sqrt of a Fraction x >= 0.25, bracketed by math.isqrt to 256 bits."""
+    return Fraction(math.isqrt((x.numerator << 512) // x.denominator), 1 << 256)
+
+
+def _exact_r_and_root(n, kappa):
+    """r = (n-1)/(n+1) and sqrt(r**2 - G) in Fractions at the float n."""
+    nq, kq = Fraction(float(n)), Fraction(kappa)
+    r = (nq - 1) / (nq + 1)
+    x = r * r - r * (nq - 1) / (nq - 3) * (nq - (nq - 1) * kq)  # >= 0.4 here
+    return r, _root(x)
+
+
 def _exact_b_squared(n, kappa):
     """b**2 = n*r*delta / ((n-3)*(n*r + sqrt(r**2 - G))) in Fractions, with
     delta measured from the float kappa_max of the feasibility test and the
     one square root bracketed by math.isqrt to 256 bits."""
     nq, kq, k_max = Fraction(float(n)), Fraction(kappa), Fraction(feasible_kurtosis_range(n)[2])
-    r = (nq - 1) / (nq + 1)
-    x = r * r - r * (nq - 1) / (nq - 3) * (nq - (nq - 1) * kq)  # >= 0.4 here
-    root = Fraction(math.isqrt((x.numerator << 512) // x.denominator), 1 << 256)
+    r, root = _exact_r_and_root(n, kappa)
     return nq * r * (k_max - kq) / ((nq - 3) * (nq * r + root))
+
+
+def _exact_a(n, kappa):
+    """a = sqrt(r + sqrt(r**2 - G)) in Fractions, both roots as above."""
+    r, root = _exact_r_and_root(n, kappa)
+    return _root(r + root)
 
 
 @st.composite
@@ -337,6 +354,41 @@ def test_b_squared_is_within_4_ulps_of_the_exact_value(pair):
     assert (b_sq == 0.0) == (kappa == feasible_kurtosis_range(n).kappa_max)
     if want:
         assert abs(Fraction(b_sq) - want) <= 4 * Fraction(math.ulp(float(want)))
+
+
+@st.composite
+def near_kappa_min(draw):
+    """(n, kappa): n as in feasible_pairs, kappa within 10/n above kappa_min,
+    where G = (n-1)**2 * (n - (n-1)*kappa) / ((n+1)*(n-3)) nears 0."""
+    x = 10.0 ** draw(st.floats(min_value=math.log10(5.0), max_value=15.0))
+    n = draw(st.sampled_from([int(x), float(int(x)), x]))
+    rng = feasible_kurtosis_range(n)
+    kappa = rng.kappa_min + draw(st.floats(min_value=0.0, max_value=1.0)) * 10.0 / float(n)
+    return n, min(max(kappa, math.nextafter(rng.kappa_min, math.inf)), rng.kappa_max)
+
+
+@settings(max_examples=1000)
+@example((1_000_000_001, 1.0000000015))  # 1.3e7 ulps off with G from n - (n-1)*kappa
+@given(st.one_of(near_kappa_min(), feasible_pairs()))
+def test_a_is_within_2_ulps_of_the_exact_value(pair):
+    n, kappa = pair
+    a = solve_extreme_point(n, kappa).a
+    assert abs(Fraction(a) - _exact_a(n, kappa)) <= 2 * Fraction(math.ulp(a))
+
+
+def test_g_overflow_guard_at_its_edge():
+    # (n-1)*(kappa-1) is the product that overflows; kappa - 1 == kappa here
+    n = 1e200
+    kappa = sys.float_info.max / (n - 1)
+    while math.isinf((n - 1) * (kappa - 1.0)):
+        kappa = math.nextafter(kappa, 0.0)
+    while not math.isinf((n - 1) * (math.nextafter(kappa, math.inf) - 1.0)):
+        kappa = math.nextafter(kappa, math.inf)
+    sol = solve_extreme_point(n, kappa)
+    assert math.isfinite(sol.g_value) and sol.g_value < -1e307
+    assert math.isfinite(sol.a) and sol.b_squared >= 0.0
+    with pytest.raises(DomainError, match="past the float range"):
+        solve_extreme_point(n, math.nextafter(kappa, math.inf))
 
 
 @given(sizes, fractions)
@@ -411,6 +463,12 @@ def test_non_finite_argument_is_a_domain_error(call, name, bad):
     # inf came back before; the message names the argument at fault
     with pytest.raises(DomainError, match=f"^{name} must be (a )?finite"):
         call(bad)
+
+
+@pytest.mark.parametrize("n, kappa", [(1e300, 1e300), (sys.float_info.max, sys.float_info.max)])
+def test_asymptotic_a_does_not_overflow(n, kappa):
+    # 1 + n*(kappa-1) overflowed to inf here; the answer is (n*(kappa-1))**0.25
+    assert asymptotic_a(n, kappa) == pytest.approx(n**0.25 * kappa**0.25, rel=1e-15)
 
 
 def test_asymptotic_degenerate_kurtosis_limit():
