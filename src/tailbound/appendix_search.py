@@ -41,13 +41,13 @@ uniform base above UNIFORM_MAX_M points is rejected before it is built.
 from __future__ import annotations
 
 import math
-import sys
 from itertools import chain, repeat
 from operator import mul, sub
 from typing import NamedTuple, Sequence
 
-from .errors import BracketRangeError, DomainError, SearchError
-from .extreme_point import _central_sums, _wsum
+from .errors import BracketRangeError, DomainError, SearchError, check_int, check_real
+from .extreme_point import _MAX_POINTS as UNIFORM_MAX_M
+from .extreme_point import _central_sums, _check_points, _floats, _wsum
 
 __all__ = ["SHAPES", "KAPPA_TOL", "OutlierSearchResult", "ComparisonRow", "generate_base",
            "search_outlier", "search_outlier_on_points", "comparison_table"]
@@ -56,12 +56,6 @@ __all__ = ["SHAPES", "KAPPA_TOL", "OutlierSearchResult", "ComparisonRow", "gener
 #: target of 1000, relative above it (KAPPA_TOL * target/1000), where the
 #: rounding error of the kurtosis itself outgrows an absolute 1e-9
 KAPPA_TOL = 1e-9
-
-#: largest base generate_base builds and largest uniform base a search takes
-#: (the level shapes search at any size): a uniform search at the cap took
-#: 4.8 s and 588 MB peak RSS (Python 3.11, 2-vCPU Xeon); 10**7 points did not
-#: fit in 1 GB of address space
-UNIFORM_MAX_M = 5_000_000
 
 _TOO_LARGE = ("a base of {} points is too large: its kurtosis near the target {!r} "
               "is past the float range")
@@ -101,8 +95,7 @@ def _levels(kind: str, m: int) -> tuple[list[float], list[int] | None]:
     centre and a pair to the outer modes; two_thirds rounds m/3 ones."""
     if kind not in SHAPES:
         raise DomainError(f"unknown base shape {kind!r}; choose from {sorted(SHAPES)}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 4:
-        raise DomainError(f"base size must be an integer >= 4, got {m!r}")
+    check_int(m, "base size", at_least=4)
     if kind == "bimodal":
         return [-1.0, 1.0], [m // 2, m - m // 2]
     if kind == "trimodal":
@@ -111,8 +104,7 @@ def _levels(kind: str, m: int) -> tuple[list[float], list[int] | None]:
     if kind == "two_thirds":
         ones = (m + 1) // 3  # m/3 rounded to nearest; m mod 3 is never 1.5
         return [0.0, 1.0], [m - ones, ones]
-    if m > UNIFORM_MAX_M:
-        raise DomainError(f"uniform base size {m} is above the cap of {UNIFORM_MAX_M}")
+    _check_points(m, "uniform base size")
     step = 2.0 / (m - 1)
     grid = [-1.0 + i * step for i in range(m - 1)]
     grid.append(1.0)
@@ -130,8 +122,7 @@ def generate_base(kind: str, m: int) -> list[float]:
     values, counts = _levels(kind, m)  # checks a uniform m against the cap
     if counts is None:
         return values
-    if m > UNIFORM_MAX_M:
-        raise DomainError(f"{kind} base size {m} is above the cap of {UNIFORM_MAX_M}")
+    _check_points(m, f"{kind} base size")
     return list(chain.from_iterable(map(repeat, values, counts)))
 
 
@@ -154,7 +145,7 @@ def search_outlier_on_points(base_points: Sequence[float],
         SearchError: the kurtosis of the dataset found misses the target by
             more than KAPPA_TOL.
     """
-    base = sorted(map(float, base_points))
+    base = sorted(_floats(base_points, "base points"))
     if len(base) < 4:
         raise DomainError(f"need at least 4 base points, got {len(base)}")
     if not all(map(math.isfinite, base)):
@@ -172,19 +163,14 @@ def search_outlier_on_points(base_points: Sequence[float],
 def search_outlier(kind: str, n: int, target_kappa: float) -> OutlierSearchResult:
     """Search the named base shape of size n - 1 plus one grafted outlier:
     bit for bit the result of search_outlier_on_points on generate_base."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 5:
-        raise DomainError(f"total size must be an integer >= 5, got {n!r}")
+    check_int(n, "total size", at_least=5, at_most=math.inf)  # _levels checks n - 1
     return _search(*_levels(kind, n - 1), target_kappa)
 
 
 def _search(values, counts, target_kappa) -> OutlierSearchResult:
     """The search on the base of ascending values, the i-th counted counts[i]
     times, or once when counts is None."""
-    if not -math.inf < target_kappa < math.inf:
-        raise DomainError(f"target kurtosis must be a finite number, got {target_kappa!r}")
     m = len(values) if counts is None else sum(counts)
-    if m > sys.float_info.max:  # the mean below divides by a float m
-        raise DomainError(_TOO_LARGE.format(m, target_kappa))
     n = m + 1
     c = _wsum(values, counts) / m
     s2, s3, s4 = _central_sums(values, c, counts)
@@ -192,13 +178,19 @@ def _search(values, counts, target_kappa) -> OutlierSearchResult:
     if values[-1] == values[0] or not s2 > 0.0:
         raise DomainError("zero variance while evaluating kurtosis")
     # every kurtosis lies below (m*m - m + 1)/m; compared with K = p/q in ints
-    p, q = target_kappa.as_integer_ratio()
+    # ahead of the range check, so any target above it, 10**400 too, is out of
+    # reach; nan and the infinities have no ratio and fail the range check
+    try:
+        p, q = target_kappa.as_integer_ratio()
+    except (OverflowError, ValueError):
+        p, q = 0, 1
     lead = q * (m * m - m + 1) - p * m
     if lead <= 0:
         raise BracketRangeError(
             f"target kurtosis {target_kappa!r} not reachable: it is not below the "
             f"supremum {(m * m - m + 1) / m!r} that the kurtosis approaches as the outlier grows"
         )
+    check_real(target_kappa, "target kurtosis")
     # c0 below forms target * s2 * s2, and t2 >= s2 at every outlier: past
     # the float range every kurtosis reads inf or nan
     if not s2 * s2 * max(target_kappa, 1.0) < math.inf:

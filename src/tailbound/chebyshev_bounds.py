@@ -14,7 +14,7 @@ Zelen (two-sided, uses the third and fourth moments):
 Bhattacharyya (one-sided upper tail):
     P(X >= t) <= (kappa - theta3**2 - 1)
                  / ((kappa - theta3**2 - 1)*(1 + t**2) + (t**2 - t*theta3 - 1))
-    valid for t**2 - t*theta3 - 1 > 0.
+    valid for t > 0 with t**2 - t*theta3 - 1 > 0.
 
 At the extreme-point threshold t = a(n, kappa) of :mod:`tailbound.extreme_point`,
 with A = a**2, the Bhattacharyya margin factors as
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, MomentInfeasibleError, ThresholdTooSmallError
+from .errors import MomentInfeasibleError, ThresholdTooSmallError, check_int, check_real
 
 __all__ = [
     "BoundEvaluation",
@@ -74,19 +74,17 @@ def even_moment_bound(t: float, k: int, moment_2k: float) -> BoundEvaluation:
     1/t**(2k), capped at 1 (for t < 1 the inequality is vacuous).
 
     Raises:
-        DomainError: t or moment_2k not a finite positive number, or k < 1
-            or non-integer.
+        DomainError: t or moment_2k not a finite positive number, or k not
+            an integer of at least 1 in the float range.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"moment order k must be a positive integer, got {k!r}")
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"threshold multiplier t must be finite and positive, got {t!r}")
-    if not 0.0 < moment_2k < math.inf:
-        raise DomainError(f"even moment must be finite and positive, got {moment_2k!r}")
+    check_int(k, "moment order k", at_least=1)
+    check_real(t, "threshold multiplier t", above=0.0)
+    check_real(moment_2k, "even moment", above=0.0)
     return BoundEvaluation(
         method="even_moment",
-        threshold_t=t * moment_2k ** (1.0 / (2 * k)),
-        probability=min(1.0, t ** (-2 * k)),
+        threshold_t=t * moment_2k ** (0.5 / k),
+        # the power only where it is below 1: at a tiny t it would overflow
+        probability=t ** (-2.0 * k) if t > 1.0 else 1.0,
     )
 
 
@@ -100,9 +98,7 @@ def even_moment_endpoint(n: float, kappa: float) -> BoundEvaluation:
         DomainError: n not a finite number of at least 1, or kappa not a
             finite positive number.
     """
-    if not 1 <= n < math.inf:
-        raise DomainError(f"n must be finite and at least 1, got {n!r}")
-    return even_moment_bound(n ** 0.25, 2, kappa)
+    return even_moment_bound(check_real(n, "n", at_least=1.0) ** 0.25, 2, kappa)
 
 
 def zelen_bound(t: float, theta3: float, theta4: float) -> BoundEvaluation:
@@ -115,12 +111,9 @@ def zelen_bound(t: float, theta3: float, theta4: float) -> BoundEvaluation:
         ThresholdTooSmallError: t below (theta3 + sqrt(theta3**2 + 4))/2,
             where the inequality does not hold.
     """
-    if not -math.inf < t < math.inf:
-        raise DomainError(f"threshold t must be a finite number, got {t!r}")
-    if not -math.inf < theta3 < math.inf:
-        raise DomainError(f"theta3 must be a finite number, got {theta3!r}")
-    if not -math.inf < theta4 < math.inf:
-        raise DomainError(f"theta4 must be a finite number, got {theta4!r}")
+    check_real(t, "threshold t")
+    check_real(theta3, "theta3")
+    check_real(theta4, "theta4")
     denom = theta4 - theta3 * theta3 - 1.0
     if not denom > 0.0:
         raise MomentInfeasibleError(
@@ -142,23 +135,22 @@ def bhattacharyya_bound(t: float, theta3: float, kappa: float) -> BoundEvaluatio
     Raises:
         DomainError: t, theta3 or kappa not a finite number.
         MomentInfeasibleError: kappa - theta3**2 - 1 <= 0.
-        ThresholdTooSmallError: t**2 - t*theta3 - 1 <= 0 (outside validity).
+        ThresholdTooSmallError: t <= 0 or t**2 - t*theta3 - 1 <= 0 (outside
+            validity).
     """
-    if not -math.inf < t < math.inf:
-        raise DomainError(f"threshold t must be a finite number, got {t!r}")
-    if not -math.inf < theta3 < math.inf:
-        raise DomainError(f"theta3 must be a finite number, got {theta3!r}")
-    if not -math.inf < kappa < math.inf:
-        raise DomainError(f"kurtosis kappa must be a finite number, got {kappa!r}")
+    check_real(t, "threshold t")
+    check_real(theta3, "theta3")
+    check_real(kappa, "kurtosis kappa")
     d = kappa - theta3 * theta3 - 1.0
     if not d > 0.0:
         raise MomentInfeasibleError(
             f"kappa - theta3**2 - 1 must be positive, got {d!r}"
         )
     s = t * t - t * theta3 - 1.0
-    if not s > 0.0:
+    if not (s > 0.0 and t > 0.0):  # s > 0 below its negative root too, where no bound holds
         raise ThresholdTooSmallError(
-            f"Bhattacharyya bound needs t**2 - t*theta3 - 1 > 0, got {s!r}"
+            f"Bhattacharyya bound needs t > 0 and t**2 - t*theta3 - 1 > 0, got t = {t!r} "
+            f"and {s!r}"
         )
     probability = d / (d * (1.0 + t * t) + s)
     return BoundEvaluation(method="bhattacharyya", threshold_t=t, probability=probability)

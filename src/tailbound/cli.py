@@ -428,13 +428,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    code = EXIT_OK
     try:
         if args.command == "shock-table":
             doc = build_shock_table(args.n, args.kurtosis)
-            code = EXIT_INFEASIBLE if doc.has_marker() else EXIT_OK
         elif args.command == "bounds":
             doc = build_bounds_table(args.method, args.n, args.kurtosis)
-            code = EXIT_INFEASIBLE if doc.has_marker() else EXIT_OK
         elif args.command == "tail-factor":
             doc = build_tail_factor(args.model, args.dof, args.horizon)
             if args.model == "student-t" and args.dof <= 2:
@@ -442,14 +441,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(f"warning: student-t with dof={args.dof} has infinite "
                       "variance; the raw quantile is still reported",
                       file=sys.stderr)
-            code = EXIT_OK
         elif args.command == "validate":
             doc, code = build_validate(args)
         elif args.command == "empirical":
             doc, code = build_empirical(args.file, args.tail_factor)
         else:  # appendix
             doc = build_appendix(args.n, args.kappa)
-            code = EXIT_OK
+        if doc.has_marker():  # a grid with an infeasible cell
+            code = EXIT_INFEASIBLE
         _emit(doc, args)
     except (_UsageError, CsvFormatError, OSError) as exc:
         print(f"tailbound: error: {exc}", file=sys.stderr)

@@ -34,10 +34,11 @@ tail factors, embedded verbatim in :data:`BLR_TAIL_FACTORS`.
 from __future__ import annotations
 
 import math
+import sys
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import DomainError, SearchError, TableLookupError
+from .errors import DomainError, SearchError, TableLookupError, check_int, check_real
 
 __all__ = [
     "normal_cdf",
@@ -63,21 +64,26 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # ---------------------------------------------------------------------------
 
 
+def _cdf_point(x: float) -> float:
+    """x where a CDF is taken: an int past the float range stands at the
+    infinity of its sign, and nan is a DomainError."""
+    if x != x:
+        raise DomainError("x must be a number, got nan")
+    if -sys.float_info.max <= x <= sys.float_info.max:
+        return x
+    return math.inf if x > 0 else -math.inf
+
+
 def normal_cdf(x: float) -> float:
-    """Standard normal CDF via erfc; accurate in both tails."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def _check_tail_mass(q: float) -> None:
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"tail mass must lie in (0, 1), got {q!r}")
+    """Standard normal CDF via erfc; accurate in both tails, 0 and 1 at -inf
+    and inf, and a DomainError at nan."""
+    return 0.5 * math.erfc(-_cdf_point(x) / _SQRT2)
 
 
 def _lower_tail(isf, p: float, *args) -> float:
     """The quantile at lower-tail probability p, from an upper-tail solver
     handed the smaller tail of p."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"probability must lie in (0, 1), got {p!r}")
+    check_real(p, "probability", above=0.0, below=1.0)
     return -isf(p, *args) if p < 0.5 else isf(1.0 - p, *args)
 
 
@@ -87,7 +93,7 @@ def normal_isf(q: float) -> float:
     Raises:
         DomainError: q outside the open interval (0, 1).
     """
-    _check_tail_mass(q)
+    check_real(q, "tail mass", above=0.0, below=1.0)
     if q > 0.5:
         return -normal_isf(1.0 - q)  # 1 - q exact here
     if q == 0.5:
@@ -101,7 +107,7 @@ def normal_isf(q: float) -> float:
     # relative accuracy that erfc loses as x nears 0
     c = 0.5 - q
     for _ in range(3):
-        r = normal_cdf(-x) - q if q < 0.25 else c - 0.5 * math.erf(x / _SQRT2)
+        r = 0.5 * math.erfc(x / _SQRT2) - q if q < 0.25 else c - 0.5 * math.erf(x / _SQRT2)
         x += r / (_INV_SQRT_2PI * math.exp(-0.5 * x * x))
     return x
 
@@ -156,23 +162,9 @@ def _betacf(a: float, b: float, x: float) -> float:
     raise SearchError("incomplete beta continued fraction did not converge")
 
 
-def _validate_dof(dof: int) -> None:
-    if not isinstance(dof, int) or isinstance(dof, bool) or dof < 1:
-        raise DomainError(f"degrees of freedom must be a positive integer, got {dof!r}")
-
-
 #: Largest dof the Student-t tail accepts: above it lgamma(a + 1/2) - lgamma(a)
 #: cancels, and the tail and quantile go wrong without any error.
 _DOF_MAX = 10**6
-
-
-def _validate_tail_dof(dof: int) -> None:
-    _validate_dof(dof)
-    if dof > _DOF_MAX:
-        raise DomainError(
-            f"degrees of freedom above {_DOF_MAX} are not supported (the Student-t "
-            f"tail loses its accuracy there), got {dof!r}"
-        )
 
 
 def _student_t_log_tail(x: float, dof: int) -> tuple[float, float]:
@@ -201,12 +193,16 @@ def _student_t_log_tail(x: float, dof: int) -> tuple[float, float]:
 
 def student_t_cdf(x: float, dof: int) -> float:
     """Student-t CDF with integer degrees of freedom; each tail is taken
-    directly, so the lower one keeps its relative accuracy.
+    directly, so the lower one keeps its relative accuracy.  0 and 1 at -inf
+    and inf.
 
     Raises:
-        DomainError: dof < 1, above 10**6, or non-integer.
+        DomainError: dof not an integer in 1..10**6, or x nan.
     """
-    _validate_tail_dof(dof)
+    check_int(dof, "degrees of freedom", at_least=1, at_most=_DOF_MAX)
+    x = _cdf_point(x)
+    if math.isinf(x):
+        return 1.0 if x > 0.0 else 0.0
     if x == 0.0:
         return 0.5
     tail = math.exp(_student_t_log_tail(abs(x), dof)[0])
@@ -261,8 +257,8 @@ def student_t_isf(q: float, dof: int) -> float:
         DomainError: q outside (0, 1), or dof not an integer in 1..10**6.
         SearchError: Newton did not settle within its iteration cap.
     """
-    _validate_tail_dof(dof)
-    _check_tail_mass(q)
+    check_int(dof, "degrees of freedom", at_least=1, at_most=_DOF_MAX)
+    check_real(q, "tail mass", above=0.0, below=1.0)
     if q > 0.5:
         return -student_t_isf(1.0 - q, dof)  # 1 - q exact here
     if q == 0.5:
@@ -304,15 +300,12 @@ def student_t_kurtosis(dof: int, convention: str = "raw") -> float:
     dof >= 5.
 
     Raises:
-        DomainError: dof <= 4 (kurtosis infinite or undefined), bad convention.
+        DomainError: dof not an integer in the float range, dof <= 4 (the
+            kurtosis is infinite or undefined there), or a bad convention.
     """
-    _validate_dof(dof)
+    check_int(dof, "degrees of freedom", at_least=5)
     if convention not in ("raw", "excess"):
         raise DomainError(f"convention must be 'raw' or 'excess', got {convention!r}")
-    if dof <= 4:
-        raise DomainError(
-            f"Student-t kurtosis is infinite for dof <= 4, got dof={dof}"
-        )
     excess = 6.0 / (dof - 4)
     return excess if convention == "excess" else 3.0 + excess
 
@@ -338,16 +331,15 @@ class TailFactorQuery(_TailFactorQueryFields):
     __slots__ = ()
 
     def __new__(cls, horizon_n: float, model: str, dof: int | None = None):
-        if not 2 <= horizon_n < math.inf:
-            raise DomainError(
-                f"horizon must be a finite number of at least 2, got {horizon_n!r}"
-            )
+        check_real(horizon_n, "horizon", at_least=2.0)
         if model not in ("normal", "student-t"):
             raise DomainError(f"model must be 'normal' or 'student-t', got {model!r}")
         if model == "student-t" and dof is None:
             raise DomainError("student-t tail factors need degrees of freedom")
         if model == "normal" and dof is not None:
             raise DomainError("dof is only meaningful for the student-t model")
+        if dof is not None:
+            check_int(dof, "degrees of freedom", at_least=1, at_most=_DOF_MAX)
         return super().__new__(cls, horizon_n, model, dof)
 
     @classmethod
@@ -377,22 +369,17 @@ def blr_kurtosis(h: float, g: float) -> float:
     consistent inverse-time units; only h**2/g matters).
 
     Raises:
-        DomainError: h or g not a finite number, g <= 0 or h < 0.
+        DomainError: h or g not a finite number, g <= 0 or h < 0, or a
+            kurtosis past the float range.
     """
-    if not -math.inf < h < math.inf:
-        raise DomainError(f"volatility-of-volatility h must be a finite number, got {h!r}")
-    if not -math.inf < g < math.inf:
-        raise DomainError(f"mean-reversion rate g must be a finite number, got {g!r}")
-    if not g > 0.0:
-        raise DomainError(f"mean-reversion rate g must be positive, got {g!r}")
-    if h < 0.0:
-        raise DomainError(f"volatility-of-volatility h must be >= 0, got {h!r}")
-    exponent = h * h / (2.0 * g)
-    if exponent > 709.0:  # exp() overflows double precision beyond this
-        raise DomainError(
-            f"kurtosis overflows: h**2/(2g) = {exponent!r} is too large"
-        )
-    return 3.0 * math.exp(exponent)
+    check_real(h, "volatility-of-volatility h", at_least=0.0)
+    check_real(g, "mean-reversion rate g", above=0.0)
+    exponent = h * h / (2.0 * g)  # nan once h*h and 2g both overflow
+    # exp() raises OverflowError itself from about 709.78 on
+    kappa = 3.0 * math.exp(exponent) if exponent <= 709.0 else math.inf
+    if not kappa < math.inf:
+        raise DomainError(f"kurtosis overflows: h**2/(2g) = {exponent!r} is too large")
+    return kappa
 
 
 def blr_h_from_kurtosis(kappa: float, g: float) -> float:
@@ -402,15 +389,10 @@ def blr_h_from_kurtosis(kappa: float, g: float) -> float:
         DomainError: kappa or g not a finite number, kappa < 3 (the model
             cannot reach sub-normal kurtosis) or g <= 0.
     """
-    if not -math.inf < kappa < math.inf:
-        raise DomainError(f"kurtosis kappa must be a finite number, got {kappa!r}")
-    if not -math.inf < g < math.inf:
-        raise DomainError(f"mean-reversion rate g must be a finite number, got {g!r}")
-    if not g > 0.0:
-        raise DomainError(f"mean-reversion rate g must be positive, got {g!r}")
-    if kappa < 3.0:
-        raise DomainError(f"BLR kurtosis is at least 3, got {kappa!r}")
-    return math.sqrt(2.0 * g * math.log(kappa / 3.0))
+    check_real(kappa, "kurtosis kappa", at_least=3.0)
+    check_real(g, "mean-reversion rate g", above=0.0)
+    # 2 * log first, so kappa = 3 gives 0 and not inf * 0 at a g above MAX/2
+    return math.sqrt(2.0 * math.log(kappa / 3.0) * g)
 
 
 #: Version tag for the embedded published tail-factor table below.
@@ -433,6 +415,8 @@ BLR_TAIL_FACTORS = MappingProxyType({
 def blr_tail_factor(g_inverse_label: str, kappa: float) -> float:
     """Look up a published BLR tail factor.
 
+    The kurtosis column is found by equality, so 7.0 finds the 7 column.
+
     Raises:
         TableLookupError: unknown mean-reversion label or kurtosis column.
     """
@@ -440,8 +424,7 @@ def blr_tail_factor(g_inverse_label: str, kappa: float) -> float:
         row = BLR_TAIL_FACTORS[g_inverse_label]
     except KeyError:
         raise TableLookupError(g_inverse_label, BLR_TAIL_FACTORS.keys()) from None
-    key = int(kappa) if float(kappa).is_integer() else kappa
     try:
-        return row[key]
-    except (KeyError, TypeError):
+        return row[kappa]
+    except KeyError:
         raise TableLookupError(kappa, row.keys()) from None

@@ -2,10 +2,15 @@
 
 Every error raised by tailbound derives from :class:`TailboundError`, so
 callers can catch the package's failures with a single except clause while
-still being able to distinguish the individual failure modes.
+still being able to distinguish the individual failure modes.  Every public
+numeric argument passes :func:`check_real` or :func:`check_int`, so each
+out-of-domain number is a :class:`DomainError` of one wording.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 __all__ = [
     "TailboundError",
@@ -81,3 +86,32 @@ class SearchError(TailboundError, RuntimeError):
 
 class BracketRangeError(SearchError):
     """The search target lies outside the range the search can reach."""
+
+
+#: the largest float; an int compares with it exactly, so 10**400 lies past it
+_MAX = sys.float_info.max
+
+
+def check_real(x, name: str, at_least=-_MAX, above=-math.inf, below=math.inf):
+    """x when it is a number in [-MAX, MAX] that meets the bounds given, else
+    a DomainError naming it.  nan fails every comparison, and an int past
+    the float range fails the first, so neither reaches the caller."""
+    if at_least <= x <= _MAX and above < x < below:
+        return x
+    bound = (f" of at least {at_least:g}" if at_least != -_MAX
+             else f" above {above:g}" if above != -math.inf else "")
+    if below != math.inf:
+        bound += f" and below {below:g}"
+    raise DomainError(f"{name} must be a finite number{bound}, got {x!r}")
+
+
+def check_int(x, name: str, at_least: int, at_most=_MAX):
+    """x when it is an int (not a bool) in [at_least, at_most], else a
+    DomainError naming it.  The default at_most keeps x in the float range;
+    math.inf lets any int through."""
+    integer = isinstance(x, int) and not isinstance(x, bool)
+    if integer and at_least <= x <= at_most:
+        return x
+    if integer and x > at_most:
+        raise DomainError(f"{name} above {at_most!r} is not supported, got {x!r}")
+    raise DomainError(f"{name} must be an integer >= {at_least!r}, got {x!r}")

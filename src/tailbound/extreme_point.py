@@ -50,7 +50,8 @@ from itertools import repeat
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateDataError, DomainError, InfeasibleKurtosisError
+from .errors import (DegenerateDataError, DomainError, InfeasibleKurtosisError, check_int,
+                     check_real)
 
 __all__ = [
     "KurtosisRange",
@@ -67,6 +68,25 @@ __all__ = [
 
 #: every float is an integer multiple of 1/_TWO_1074, the smallest subnormal
 _TWO_1074 = 1 << 1074
+
+#: most points a list is built with (construct_distribution, generate_base, a
+#: uniform search): a uniform search at the cap took 4.8 s and 588 MB peak RSS
+#: (Python 3.11, 2-vCPU Xeon); 10**7 points did not fit in 1 GB
+_MAX_POINTS = 5_000_000
+
+
+def _check_points(size: int, what: str) -> None:
+    if size > _MAX_POINTS:
+        raise DomainError(f"{what} {size} is above the cap of {_MAX_POINTS}")
+
+
+def _floats(data: Iterable[float], name: str) -> list[float]:
+    """data as a list of floats; an int that no float holds is a DomainError."""
+    try:
+        return list(map(float, data))
+    except OverflowError:
+        raise DomainError(
+            f"{name} must be finite numbers, got an int past the float range") from None
 
 
 class KurtosisRange(NamedTuple):
@@ -121,19 +141,26 @@ def feasible_kurtosis_range(n: float) -> KurtosisRange:
 
     Raises:
         DomainError: for n < 5 (the quadratic degenerates at n = 3 and the
-            background needs at least two points per level) or n = inf.
+            background needs at least two points per level), n not a finite
+            number, or endpoints past the float range.
     """
+    # an int past the float range is checked as the largest float: feasible_floor
+    # can answer there, and _kappa_bounds takes it while its endpoints fit one
+    check_real(min(n, sys.float_info.max) if isinstance(n, int) else n, "sample size",
+               at_least=5.0)
     return KurtosisRange(n, *_kappa_bounds(n))
 
 
 def _kappa_bounds(n: float) -> tuple[float, float]:
-    """(kappa_min, kappa_max) of :func:`feasible_kurtosis_range`, unwrapped."""
-    if not 5 <= n < math.inf:
-        raise DomainError(f"sample size must be finite and at least 5, got {n!r}")
+    """(kappa_min, kappa_max) of :func:`feasible_kurtosis_range`, unwrapped,
+    for an n its callers have checked."""
     # an integral float n takes its int's exact, correctly rounded endpoints,
     # so n * n cannot overflow and a float n matches its int
     m = int(n) if isinstance(n, float) and n.is_integer() else n
-    return m / (m - 1), (m * m - 3 * m + 3) / (m - 1)
+    try:
+        return m / (m - 1), (m * m - 3 * m + 3) / (m - 1)
+    except OverflowError:  # an int n whose kappa_max no float holds
+        raise DomainError(f"the kurtosis range at size {n!r} is past the float range") from None
 
 
 def feasible_floor(kappa: float) -> int:
@@ -145,8 +172,7 @@ def feasible_floor(kappa: float) -> int:
     Raises:
         DomainError: kappa not a finite number above 1.
     """
-    if not 1.0 < kappa < math.inf:
-        raise DomainError(f"kurtosis must be a finite number above 1, got {kappa!r}")
+    check_real(kappa, "kurtosis", above=1.0)
     # a rounded endpoint is >= kappa when the exact one lies above mu = p/q,
     # the midpoint of kappa and its float predecessor, < kappa below it, and
     # either at a tie.  With m = n - 1, kappa_max = m - 1 + 1/m lies in
@@ -170,18 +196,19 @@ def solve_extreme_point(n: float, kappa: float) -> ExtremePointSolution:
     form so that a == sqrt(n-1) and b_squared == 0 exactly.
 
     Raises:
-        DomainError: n < 5, n = inf, or n*kappa past the float range.
+        DomainError: n not a finite number of at least 5, or n*kappa past
+            the float range.
         InfeasibleKurtosisError: kappa outside (kappa_min, kappa_max].
     """
-    nf, g, a_sq, b_sq = _solve(n, kappa)
+    nf, g, a_sq, b_sq = _solve(check_real(n, "sample size", at_least=5.0), kappa)
     a = math.sqrt(a_sq)
     theta3 = a / (nf - 1) * ((nf + 1) / (nf - 1) * (a * a) - 3.0)
     return ExtremePointSolution(n, kappa, g, a, b_sq, theta3, math.sqrt(n - 1))
 
 
 def _solve(n: float, kappa: float) -> tuple[float, float, float, float]:
-    """(float(n), G, a**2, b**2) of :func:`solve_extreme_point`, without its
-    named tuple, for callers that need only a; raises as that function does."""
+    """(float(n), G, a**2, b**2) of :func:`solve_extreme_point` at a checked
+    n, without its named tuple, for callers that need only a."""
     k_min, k_max = _kappa_bounds(n)
     if not k_min < kappa <= k_max:
         raise InfeasibleKurtosisError(n, kappa, k_min, k_max)
@@ -216,10 +243,8 @@ def asymptotic_a(n: float, kappa: float) -> float:
         DomainError: n not a finite number of at least 5, or kappa not a
             finite number above 1.
     """
-    if not 5 <= n < math.inf:
-        raise DomainError(f"sample size must be finite and at least 5, got {n!r}")
-    if not 1.0 < kappa < math.inf:
-        raise DomainError(f"kurtosis must be a finite number above 1, got {kappa!r}")
+    check_real(n, "sample size", at_least=5.0)
+    check_real(kappa, "kurtosis", above=1.0)
     # sqrt(1 + n*(kappa-1)) as a hypot of square roots, which cannot overflow
     return math.sqrt(math.hypot(1.0, math.sqrt(n) * math.sqrt(kappa - 1.0)) + 1.0)
 
@@ -230,9 +255,7 @@ def samuelson_bound(n: float) -> float:
     Raises:
         DomainError: n not a finite number of at least 2.
     """
-    if not 2 <= n < math.inf:
-        raise DomainError(f"sample size must be finite and at least 2, got {n!r}")
-    return math.sqrt(n - 1)
+    return math.sqrt(check_real(n, "sample size", at_least=2.0) - 1)
 
 
 def construct_distribution(n: int, kappa: float) -> list[float]:
@@ -244,14 +267,18 @@ def construct_distribution(n: int, kappa: float) -> list[float]:
 
     The returned list has population mean 0, variance 1, kurtosis kappa,
     and maximum exactly equal to the solved a (same float).
+
+    Raises:
+        DomainError: n not an odd integer from 5 to 5,000,000.
+        InfeasibleKurtosisError: kappa outside (kappa_min, kappa_max].
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"n must be an integer, got {n!r}")
+    check_int(n, "sample size", at_least=5)
     if n % 2 == 0:
         raise DomainError(
-            f"n must be odd to realise the two-level background (got {n}); "
+            f"sample size must be odd to realise the two-level background (got {n}); "
             "use solve_extreme_point for the closed form at even n"
         )
+    _check_points(n, "sample size")
     sol = solve_extreme_point(n, kappa)
     b = math.sqrt(sol.b_squared)
     shift = sol.a / (n - 1)
@@ -298,20 +325,20 @@ def oracle_moments(data: Iterable[float]) -> Moments:
             fit a normal float in data units.
         DegenerateDataError: zero variance (skewness/kurtosis undefined).
     """
-    values = list(map(float, data))
+    values = _floats(data, "data")
     if not values:
         raise DomainError("cannot compute moments of an empty dataset")
     n = len(values)
     top = max(max(values), -min(values))
     if not top < math.inf:
-        raise DomainError(f"cannot compute moments of non-finite data ({top!r})")
+        raise DomainError(f"data must be finite numbers, got {top!r}")
     # 2**-e brings max |x| into [0.5, 1); below 2**-1024 the variance cannot
     # fit a float anyway, and 2**1023 is the largest factor there is
     e = max(math.frexp(top)[1], -1023)
     scale = math.ldexp(1.0, -e)
     mean = math.fsum(map(mul, values, repeat(scale))) / n
     if mean != mean:  # a nan that max and min stepped over
-        raise DomainError("cannot compute moments of non-finite data (nan)")
+        raise DomainError("data must be finite numbers, got nan")
     s2, s3, s4 = _central_sums(map(mul, values, repeat(scale)), mean)
     variance = s2 / n
     if variance <= 0.0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 __all__ = ["OutputDocument", "INFEASIBLE_MARKER", "FORMATS"]
 
@@ -48,8 +48,7 @@ class OutputDocument:
     def render(self, fmt: str, precision: int = 3) -> str:
         if fmt not in FORMATS:
             raise DomainError(f"format must be one of {FORMATS}, got {fmt!r}")
-        if not 0 <= precision <= 17:
-            raise DomainError(f"precision must be within 0..17, got {precision!r}")
+        check_int(precision, "precision", at_least=0, at_most=17)
         if fmt == "csv":
             return self._to_csv(precision)
         if fmt == "json":

@@ -16,8 +16,9 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import blr_tail_factor
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, check_int, check_real
 from .extreme_point import (
+    _floats,
     _kappa_bounds,
     _solve,
     feasible_floor,
@@ -60,13 +61,18 @@ class ModelVerdict(NamedTuple):
 
 
 def required_tail_factor(history_n: float, kappa: float) -> float:
-    """Largest standardised deviation an (history_n, kappa) sample admits."""
+    """Largest standardised deviation an (history_n, kappa) sample admits.
+
+    Raises:
+        DomainError: history_n not a finite number of at least 5.
+        InfeasibleKurtosisError: kappa infeasible at history_n.
+    """
+    return _required(check_real(history_n, "history length", at_least=5.0), kappa)
+
+
+def _required(history_n: float, kappa: float) -> float:
+    """:func:`required_tail_factor` at a checked history length."""
     return math.sqrt(_solve(history_n, kappa)[2])  # item 2 is a**2
-
-
-def _check_tail_factor(tail_factor: float) -> None:
-    if not 0.0 < tail_factor < math.inf:
-        raise DomainError(f"tail factor must be a finite positive number, got {tail_factor!r}")
 
 
 def _crossing(tail_factor: float, kappa: float) -> float:
@@ -133,21 +139,23 @@ def max_safe_history(
     the ceiling) and 0 when even the smallest feasible history violates.
 
     Raises:
-        DomainError: tail_factor not a finite positive number, or kappa not
-            a finite number above 1.
+        DomainError: tail_factor not a finite positive number, kappa not a
+            finite number above 1, or ceiling not an integer of at least 5 in
+            the float range.
     """
-    _check_tail_factor(tail_factor)
+    check_real(tail_factor, "tail factor", above=0.0)
+    check_int(ceiling, "history ceiling", at_least=5)
     lo = feasible_floor(kappa)
     if lo > ceiling:
         raise DomainError(f"no feasible history length at or below the ceiling {ceiling}")
 
     def breached(n: int) -> bool:  # the ceiling itself is checked below
-        return n >= ceiling or required_tail_factor(n, kappa) > tail_factor
+        return n >= ceiling or _required(n, kappa) > tail_factor
 
     crossing = _crossing(tail_factor, kappa)  # nan or inf once tail_factor**2 overflows
     guess = math.floor(crossing) + 1 if math.isfinite(crossing) else ceiling
     first = _first_true(breached, lo, min(max(guess, lo), ceiling))
-    if first == ceiling and required_tail_factor(ceiling, kappa) <= tail_factor:
+    if first == ceiling and _required(ceiling, kappa) <= tail_factor:
         return None
     return 0 if first == lo else first - 1
 
@@ -163,15 +171,16 @@ def validate_model(tail_factor: float, history_n: int, kappa: float) -> ModelVer
     """Check a quoted tail factor against the bound for its own history.
 
     Raises:
-        DomainError: tail factor not finite and positive, history below 5,
-            infinite, or a finite float that is not a whole number.
+        DomainError: tail factor not finite and positive, history not a
+            finite number of at least 5, or a float that is not a whole number.
         InfeasibleKurtosisError: kappa infeasible at history_n.
     """
-    _check_tail_factor(tail_factor)
+    check_real(tail_factor, "tail factor", above=0.0)
+    check_real(history_n, "history length", at_least=5.0)
     # the verdict reports int(history_n), so a(history_n) must be taken there
-    if isinstance(history_n, float) and math.isfinite(history_n) and not history_n.is_integer():
+    if isinstance(history_n, float) and not history_n.is_integer():
         raise DomainError(f"history length must be a whole number, got {history_n!r}")
-    return _verdict(tail_factor, history_n, kappa, required_tail_factor(history_n, kappa),
+    return _verdict(tail_factor, history_n, kappa, _required(history_n, kappa),
                     max_safe_history(tail_factor, kappa))
 
 
@@ -200,7 +209,7 @@ class ReturnSeries(NamedTuple):
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "ReturnSeries":
-        vals = tuple(map(float, values))
+        vals = tuple(_floats(values, "data"))
         if len(vals) < 5:
             raise DegenerateDataError(
                 f"too few observations: need at least 5, got {len(vals)}"
@@ -249,12 +258,12 @@ def empirical_validate(
     fallback and the verdict is flagged kurtosis_infeasible.
 
     Raises:
-        DomainError: tail factor not finite and positive.
+        DomainError: tail factor not finite and positive, or non-finite data.
         DegenerateDataError: fewer than 5 observations or zero variance.
     """
     if not isinstance(series, ReturnSeries):
         series = ReturnSeries.from_values(series)
-    _check_tail_factor(tail_factor)
+    check_real(tail_factor, "tail factor", above=0.0)
 
     k_min, k_max = _kappa_bounds(series.n)
     infeasible = not k_min < series.kurtosis <= k_max

@@ -284,7 +284,7 @@ def test_level_base_past_the_float_range_is_a_domain_error(kind, m):
 @pytest.mark.parametrize("kind", ["bimodal", "trimodal", "two_thirds"])
 def test_base_size_past_every_float_is_a_domain_error(kind):
     m = 10**400  # the mean divides by m, which no float holds
-    with pytest.raises(DomainError, match=f"a base of {m} points"):
+    with pytest.raises(DomainError, match=f"^base size above .* is not supported, got {m}$"):
         search_outlier(kind, m + 1, 16.0)
 
 

@@ -67,6 +67,8 @@ def test_even_moment_rejects_bad_inputs():
         even_moment_bound(0.0, 2, 3.0)
     with pytest.raises(DomainError):
         even_moment_bound(2.0, 0, 3.0)
+    with pytest.raises(DomainError):  # k past the float range overflowed t ** (-2 * k)
+        even_moment_bound(2.0, 10**400, 3.0)
     with pytest.raises(DomainError):
         even_moment_bound(2.0, 2, -3.0)
     for bad in (math.inf, -math.inf, math.nan):
@@ -78,11 +80,17 @@ def test_even_moment_rejects_bad_inputs():
             even_moment_endpoint(1000, bad)
 
 
+@pytest.mark.parametrize("t", [5e-324, 1e-200, 1e-77, 0.5, 1.0])
+def test_even_moment_bound_below_one_is_vacuous(t):
+    # t ** -4 overflowed below about 1e-77, though the bound is 1 there
+    assert even_moment_bound(t, 2, 7.0).probability == 1.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_even_moment_endpoint_names_a_non_finite_n(bad):
     # an infinite n was blamed on the "threshold multiplier t" before; a
     # non-finite kappa is covered by test_even_moment_rejects_bad_inputs
-    with pytest.raises(DomainError, match="^n must be finite"):
+    with pytest.raises(DomainError, match="^n must be a finite number"):
         even_moment_endpoint(bad, 7.0)
 
 
@@ -185,6 +193,14 @@ def test_bhattacharyya_domain_rejection():
         bhattacharyya_bound(1.0, 0.0, 3.0)  # 1 - 0 - 1 = 0, not > 0
     with pytest.raises(MomentInfeasibleError):
         bhattacharyya_bound(2.0, 1.5, 3.0)
+
+
+@pytest.mark.parametrize("t", [-2.0, -1.0, 0.0])
+def test_bhattacharyya_needs_a_positive_threshold(t):
+    # t**2 - t*theta3 - 1 > 0 holds below its negative root too, where a
+    # bound of 2/13 on P(X >= -2) would be false: the normal has 0.977
+    with pytest.raises(ThresholdTooSmallError):
+        bhattacharyya_bound(t, 0.0, 3.0)
 
 
 def test_bhattacharyya_rejects_exactly_at_the_samuelson_endpoint():

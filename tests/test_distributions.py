@@ -235,6 +235,18 @@ def test_student_t_dof_above_the_limit_is_a_domain_error(dof):
     assert student_t_kurtosis(dof) == 3.0 + 6.0 / (dof - 4)
 
 
+@pytest.mark.parametrize("cdf", [normal_cdf, lambda x: student_t_cdf(x, 1),
+                                 lambda x: student_t_cdf(x, 5)], ids=["normal", "t1", "t5"])
+def test_cdfs_at_the_infinities(cdf):
+    # student_t_cdf(inf) was nan, and an int past the float range overflowed
+    for x, want in [(math.inf, 1.0), (10**400, 1.0), (-math.inf, 0.0), (-(10**400), 0.0)]:
+        assert cdf(x) == want
+    # nan came back from normal_cdf, and a continued-fraction SearchError from
+    # student_t_cdf
+    with pytest.raises(DomainError, match="^x must be a number, got nan"):
+        cdf(math.nan)
+
+
 def test_student_t_dof_at_the_limit_is_accepted():
     x = student_t_isf(1e-3, 10**6)
     assert scipy.stats.t.sf(x, 10**6) == pytest.approx(1e-3, rel=2e-8)
@@ -392,3 +404,9 @@ def test_blr_table_lookup_errors():
         blr_tail_factor("7m", 7.0)
     with pytest.raises(TableLookupError):
         blr_tail_factor("6m", 8.0)
+    # columns are found by equality: 7.0 finds 7, the string "7" finds nothing,
+    # and no number, however large, raises anything but TableLookupError
+    assert blr_tail_factor("6m", 7.0) == blr_tail_factor("6m", 7) == 13.115
+    for kappa in ("7", "7.0", 10**400, math.nan, math.inf):
+        with pytest.raises(TableLookupError):
+            blr_tail_factor("6m", kappa)

@@ -22,7 +22,7 @@ from tailbound import (
     samuelson_bound,
     solve_extreme_point,
 )
-from tailbound import extreme_point
+from tailbound import appendix_search, extreme_point
 
 
 def feasible_kappa(n: float, fraction: float) -> float:
@@ -75,7 +75,7 @@ def test_range_rejects_small_n():
 def test_infinite_n_is_a_domain_error():
     # inf/inf made the interval (nan, nan], and every kappa looked infeasible
     for call in (feasible_kurtosis_range, lambda n: solve_extreme_point(n, 7.0)):
-        with pytest.raises(DomainError, match="finite and at least 5, got inf") as err:
+        with pytest.raises(DomainError, match="finite number of at least 5, got inf") as err:
             call(math.inf)
         assert type(err.value) is DomainError
 
@@ -532,6 +532,13 @@ def test_construct_rejects_even_n():
         construct_distribution(250, 7.0)
 
 
+@pytest.mark.parametrize("n", [2**63 + 1, 10**20 + 1, appendix_search.UNIFORM_MAX_M + 1])
+def test_construct_rejects_a_size_above_the_cap_before_building(n):
+    # 2**63 + 1 ended in MemoryError and 10**20 + 1 in OverflowError
+    with pytest.raises(DomainError, match=f"above the cap of {appendix_search.UNIFORM_MAX_M}"):
+        construct_distribution(n, 7.0)
+
+
 def test_construct_rejects_non_integer():
     with pytest.raises(DomainError):
         construct_distribution(251.0, 7.0)
@@ -587,7 +594,7 @@ def test_oracle_rejects_empty_and_constant():
     [1.0, -math.inf, math.inf, 3.0, 4.0],
 ])
 def test_oracle_rejects_non_finite(data):
-    with pytest.raises(DomainError, match="non-finite"):
+    with pytest.raises(DomainError, match="^data must be finite numbers"):
         oracle_moments(data)
 
 

@@ -71,6 +71,12 @@ _BAD = [
      "a document needs at least one column"),
     (OutputDocument, dict(title="t", columns=["a"], rows=[[1]]), dict(rows=[[1], [1, 2]]),
      "row 1 has 2 cells, expected 1"),
+    (TailFactorQuery, dict(horizon_n=250.0, model="normal"), dict(horizon_n=10**400),
+     f"horizon must be a finite number of at least 2, got {10**400!r}"),
+    (TailFactorQuery, dict(horizon_n=250.0, model="student-t", dof=5), dict(dof=float("nan")),
+     "degrees of freedom must be an integer >= 1, got nan"),
+    (TailFactorQuery, dict(horizon_n=250.0, model="student-t", dof=5), dict(dof=10**6 + 1),
+     "degrees of freedom above 1000000 is not supported, got 1000001"),
 ]
 
 

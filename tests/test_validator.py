@@ -247,7 +247,7 @@ def test_validate_model_rejects_a_fractional_history():
     # non-finite histories get the solver's size message
     with pytest.raises(DomainError, match="at least 5, got nan"):
         validate_model(7.0, math.nan, 7.0)
-    with pytest.raises(DomainError, match="finite and at least 5, got inf") as err:
+    with pytest.raises(DomainError, match="finite number of at least 5, got inf") as err:
         validate_model(7.0, math.inf, 7.0)
     assert type(err.value) is DomainError
 
