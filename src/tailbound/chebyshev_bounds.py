@@ -38,7 +38,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import MomentInfeasibleError, ThresholdTooSmallError, check_int, check_real
+from .errors import (DomainError, MomentInfeasibleError, ThresholdTooSmallError, check_int,
+                     check_real)
 
 __all__ = [
     "BoundEvaluation",
@@ -62,8 +63,9 @@ class BoundEvaluation(NamedTuple):
 
     @property
     def one_in_n(self) -> float:
-        """Reciprocal of the bound: 'one observation in N' scale."""
-        return 1.0 / self.probability
+        """Reciprocal of the bound: 'one observation in N' scale; inf once the
+        probability underflows to 0."""
+        return 1.0 / self.probability if self.probability else math.inf
 
 
 def even_moment_bound(t: float, k: int, moment_2k: float) -> BoundEvaluation:
@@ -74,15 +76,21 @@ def even_moment_bound(t: float, k: int, moment_2k: float) -> BoundEvaluation:
     1/t**(2k), capped at 1 (for t < 1 the inequality is vacuous).
 
     Raises:
-        DomainError: t or moment_2k not a finite positive number, or k not
-            an integer of at least 1 in the float range.
+        DomainError: t or moment_2k not a finite positive number, k not an
+            integer of at least 1 in the float range, or a threshold past the
+            float range.
     """
     check_int(k, "moment order k", at_least=1)
     check_real(t, "threshold multiplier t", above=0.0)
     check_real(moment_2k, "even moment", above=0.0)
+    threshold = t * moment_2k ** (0.5 / k)  # the root is at most moment_2k**0.5
+    if threshold == math.inf:
+        raise DomainError(
+            f"event threshold t * moment_2k**(1/(2k)) = {t!r} * {moment_2k!r}**(1/{2 * k}) "
+            "is past the float range")
     return BoundEvaluation(
         method="even_moment",
-        threshold_t=t * moment_2k ** (0.5 / k),
+        threshold_t=threshold,
         # the power only where it is below 1: at a tiny t it would overflow
         probability=t ** (-2.0 * k) if t > 1.0 else 1.0,
     )
@@ -152,5 +160,7 @@ def bhattacharyya_bound(t: float, theta3: float, kappa: float) -> BoundEvaluatio
             f"Bhattacharyya bound needs t > 0 and t**2 - t*theta3 - 1 > 0, got t = {t!r} "
             f"and {s!r}"
         )
-    probability = d / (d * (1.0 + t * t) + s)
+    # d/(d*(1 + t**2) + s) divided through by d, so that a huge kappa cannot
+    # overflow it: there it tends to 1/(1 + t**2)
+    probability = 1.0 / ((1.0 + t * t) + s / d)
     return BoundEvaluation(method="bhattacharyya", threshold_t=t, probability=probability)

@@ -374,8 +374,10 @@ def read_return_csv(path: str) -> list[float]:
 def _read_blocks(fh) -> list[float] | None:
     """The values of a regular file, or None for any other.
 
-    A regular file has no quote, CR or blank line; in each block every line
-    is `value` or every line is `date,value`, and every value is finite.
+    A regular file has no quote, no CR but in a CRLF line end, and no blank
+    line; in each block every line is `value` or every line is `date,value`,
+    and every value is finite.  The CR of a CRLF is whitespace to float() and
+    strip(), as the record loop's csv module drops it.
     A block is about 64 KiB of whole lines, irregular if longer than the
     csv field limit.  It is split by str methods and converted by map, so
     no Python code runs per row.
@@ -385,7 +387,8 @@ def _read_blocks(fh) -> list[float] | None:
     header = True
     while text := fh.read(1 << 16):
         text += fh.readline()
-        if '"' in text or "\r" in text or len(text) > limit:
+        if ('"' in text or "\r" in text and text.count("\r") != text.count("\r\n")
+                or len(text) > limit):
             return None
         lines = text.removesuffix("\n").split("\n")
         if header:

@@ -94,8 +94,11 @@ def normal_isf(q: float) -> float:
         DomainError: q outside the open interval (0, 1).
     """
     check_real(q, "tail mass", above=0.0, below=1.0)
-    if q > 0.5:
-        return -normal_isf(1.0 - q)  # 1 - q exact here
+    return -_normal_isf(1.0 - q) if q > 0.5 else _normal_isf(q)  # 1 - q exact here
+
+
+def _normal_isf(q: float) -> float:
+    """:func:`normal_isf` at a float q in (0, 1/2], unchecked."""
     if q == 0.5:
         return 0.0
     # Abramowitz & Stegun 26.2.23: |error| < 4.5e-4 for q <= 1/2
@@ -226,7 +229,7 @@ def _hill_start(q: float, dof: int) -> float:
     d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * n
     y = math.exp(2.0 / n * (math.log(d) + math.log(2.0 * q)))
     if y > 0.05 + a:  # asymptotic expansion about the normal deviate
-        x = -normal_isf(q)
+        x = -_normal_isf(q)
         y = x * x
         if dof < 5:
             c += 0.3 * (n - 4.5) * (x + 0.6)
@@ -259,8 +262,11 @@ def student_t_isf(q: float, dof: int) -> float:
     """
     check_int(dof, "degrees of freedom", at_least=1, at_most=_DOF_MAX)
     check_real(q, "tail mass", above=0.0, below=1.0)
-    if q > 0.5:
-        return -student_t_isf(1.0 - q, dof)  # 1 - q exact here
+    return -_student_t_isf(1.0 - q, dof) if q > 0.5 else _student_t_isf(q, dof)  # 1 - q exact
+
+
+def _student_t_isf(q: float, dof: int) -> float:
+    """:func:`student_t_isf` at a float q in (0, 1/2] and a checked dof."""
     if q == 0.5:
         return 0.0
     x = _hill_start(q, dof)
@@ -351,10 +357,11 @@ class TailFactorQuery(_TailFactorQueryFields):
         return 1.0 - 1.0 / self.horizon_n
 
     def tail_factor(self) -> float:
+        # the query checked dof, and a horizon of at least 2 puts q in (0, 1/2]
         q = 1.0 / self.horizon_n
         if self.model == "normal":
-            return normal_isf(q)
-        return student_t_isf(q, self.dof)
+            return _normal_isf(q)
+        return _student_t_isf(q, self.dof)
 
 
 # ---------------------------------------------------------------------------

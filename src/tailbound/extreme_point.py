@@ -212,23 +212,29 @@ def _solve(n: float, kappa: float) -> tuple[float, float, float, float]:
     k_min, k_max = _kappa_bounds(n)
     if not k_min < kappa <= k_max:
         raise InfeasibleKurtosisError(n, kappa, k_min, k_max)
-
-    # ratios of a float n keep every intermediate near the size of the
-    # result, so neither a huge int n nor (n-1)**2 overflows
     nf = float(n)
-    r = (nf - 1) / (nf + 1)
-    # n - (n-1)*kappa as 1 - (n-1)*(kappa-1): kappa - 1 is exact, and near
-    # kappa_min so is the subtraction, so the factor keeps the product's one
-    # rounding instead of an error of ulp(n)
-    g = r * ((nf - 1) / (nf - 3)) * (1.0 - (nf - 1) * (kappa - 1.0))
+    g, r, s = _quadratic(nf, kappa)
     if g == -math.inf:  # (n-1)*(kappa-1) overflowed
         raise DomainError(f"n*kappa = {n!r}*{kappa!r} is past the float range")
     if kappa == k_max:  # Samuelson endpoint, exactly
         return nf, g, nf - 1.0, 0.0
     # b**2 from delta = k_max - kappa, taken at the range check's float
     # endpoint: >= 0, exact near it (Sterbenz), and no factor exceeds ~n
-    s = math.sqrt(r * r - g)
     return nf, g, r + s, (k_max - kappa) / (nf - 3) * (nf * r / (nf * r + s))
+
+
+def _quadratic(nf: float, kappa: float) -> tuple[float, float, float]:
+    """(G, r, s) of (*) at a float n, so that a**2 = r + s, with r = (n-1)/(n+1)
+    and s = sqrt(r**2 - G).  Unchecked: kappa must lie in the feasible range
+    at n, where G <= 0.  An n*kappa past the float range gives G = -inf."""
+    # ratios of a float n keep every intermediate near the size of the
+    # result, so neither a huge int n nor (n-1)**2 overflows
+    r = (nf - 1) / (nf + 1)
+    # n - (n-1)*kappa as 1 - (n-1)*(kappa-1): kappa - 1 is exact, and near
+    # kappa_min so is the subtraction, so the factor keeps the product's one
+    # rounding instead of an error of ulp(n)
+    g = r * ((nf - 1) / (nf - 3)) * (1.0 - (nf - 1) * (kappa - 1.0))
+    return g, r, math.sqrt(r * r - g)
 
 
 def asymptotic_a(n: float, kappa: float) -> float:

@@ -20,6 +20,7 @@ from .errors import DegenerateDataError, DomainError, check_int, check_real
 from .extreme_point import (
     _floats,
     _kappa_bounds,
+    _quadratic,
     _solve,
     feasible_floor,
     oracle_moments,
@@ -131,9 +132,10 @@ def max_safe_history(
 
     The extreme deviation a(n, kappa) grows with n.  Inverting its closed
     form (a cubic in n) gives the real crossing, within a step of the first
-    breach; a search from there returns the integer an integer bisection
-    between the feasibility floor and the ceiling would, in two evaluations
-    of a(n), or one when even the floor breaches.
+    breach.  When the two integers around the crossing lie well inside the
+    feasible range and below the ceiling, two evaluations of a(n) settle the
+    answer.  Otherwise a search from the crossing, between the feasibility
+    floor and the ceiling, returns the integer an integer bisection would.
 
     Returns None when a(ceiling, kappa) <= tail_factor (no violation below
     the ceiling) and 0 when even the smallest feasible history violates.
@@ -145,6 +147,40 @@ def max_safe_history(
     """
     check_real(tail_factor, "tail factor", above=0.0)
     check_int(ceiling, "history ceiling", at_least=5)
+    check_real(kappa, "kurtosis", above=1.0)
+    return _max_safe_history(tail_factor, kappa, ceiling)
+
+
+def _a(nf: float, kappa: float) -> float:
+    """a(n, kappa) at a float n, for a kappa strictly inside the feasible range
+    at n: the value _required gives there, bit for bit."""
+    _, r, s = _quadratic(nf, kappa)
+    return math.sqrt(r + s)
+
+
+def _max_safe_history(tail_factor: float, kappa: float, ceiling: int) -> int | None:
+    """:func:`max_safe_history` at checked arguments."""
+    crossing = _crossing(tail_factor, kappa)  # nan or inf once tail_factor**2 overflows
+    guess = math.floor(crossing) + 1 if math.isfinite(crossing) else ceiling
+    # The search below returns guess - 1 when n = guess - 1 is at or above the
+    # floor, guess is below the ceiling, a(n) <= tail_factor and a(guess) >
+    # tail_factor.  Decide that case here.  With guess <= 2**53, n - 1, n and
+    # n + 1 are exact, and:
+    # - fl(n - 1) > fl(kappa + 2) gives kappa < n - 3 exactly, and n - 2 is
+    #   a float below kappa_max(n) = n - 2 + 1/(n - 1), so kappa is below the
+    #   rounded kappa_max(n): no Samuelson endpoint at n or n + 1;
+    # - fl((n - 1)*(kappa - 1)) > 2 gives kappa > 2 or, with kappa - 1 exact,
+    #   kappa - 1 > 2/(n - 1) > 1/(n - 1) + 2**-53, the most by which the
+    #   rounded kappa_min(n) = 1 + 1/(n - 1) can exceed the exact one.
+    # kappa_min falls and kappa_max rises with n, so kappa lies strictly
+    # inside the rounded range at n and n + 1, n > 4 is at or above the
+    # floor, and (n - 1)*(kappa - 1) < n**2 cannot overflow.
+    if guess <= 2**53:
+        n = float(guess - 1)
+        if (n - 1.0 > kappa + 2.0 and (n - 1.0) * (kappa - 1.0) > 2.0 and guess < ceiling
+                and _a(n, kappa) <= tail_factor < _a(n + 1.0, kappa)):
+            return guess - 1
+
     lo = feasible_floor(kappa)
     if lo > ceiling:
         raise DomainError(f"no feasible history length at or below the ceiling {ceiling}")
@@ -152,8 +188,6 @@ def max_safe_history(
     def breached(n: int) -> bool:  # the ceiling itself is checked below
         return n >= ceiling or _required(n, kappa) > tail_factor
 
-    crossing = _crossing(tail_factor, kappa)  # nan or inf once tail_factor**2 overflows
-    guess = math.floor(crossing) + 1 if math.isfinite(crossing) else ceiling
     first = _first_true(breached, lo, min(max(guess, lo), ceiling))
     if first == ceiling and _required(ceiling, kappa) <= tail_factor:
         return None
@@ -180,8 +214,9 @@ def validate_model(tail_factor: float, history_n: int, kappa: float) -> ModelVer
     # the verdict reports int(history_n), so a(history_n) must be taken there
     if isinstance(history_n, float) and not history_n.is_integer():
         raise DomainError(f"history length must be a whole number, got {history_n!r}")
+    # kappa is inside the range at history_n, so it is a finite number above 1
     return _verdict(tail_factor, history_n, kappa, _required(history_n, kappa),
-                    max_safe_history(tail_factor, kappa))
+                    _max_safe_history(tail_factor, kappa, DEFAULT_HISTORY_CEILING))
 
 
 def validate_blr(g_inverse_label: str, kappa: float, history_n: int) -> ModelVerdict:

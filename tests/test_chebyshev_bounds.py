@@ -48,6 +48,20 @@ def test_even_moment_unit_threshold_is_vacuous():
     assert ev.one_in_n == 1.0
 
 
+def test_even_moment_threshold_past_the_float_range_is_a_domain_error():
+    # 1.7e308 * 7**0.25 overflowed to threshold_t = inf
+    with pytest.raises(DomainError, match="event threshold .* past the float range") as err:
+        even_moment_bound(1.7e308, 2, 7.0)
+    assert type(err.value) is DomainError
+    assert even_moment_bound(1.7e308, 2, 1.0).threshold_t == 1.7e308
+
+
+def test_one_in_n_is_inf_once_the_probability_underflows():
+    ev = zelen_bound(1.7e308, 0.0, 5.0)  # 1/t**2 underflows to 0
+    assert ev.probability == 0.0 and ev.one_in_n == math.inf
+    assert even_moment_bound(1e200, 2, 7.0).one_in_n == math.inf
+
+
 def test_even_moment_published_grid():
     for n, row in goldens.EVEN_MOMENT_TABLE.items():
         for kappa, want in zip(goldens.KAPPAS, row):
@@ -186,6 +200,12 @@ def test_bhattacharyya_is_not_sharp():
         for kappa in goldens.KAPPAS:
             a, t3 = extremal_inputs(n, kappa)
             assert bhattacharyya_bound(a, t3, kappa).probability > 10.0 / n
+
+
+@pytest.mark.parametrize("kappa", [1e300, 1.7e308])
+def test_bhattacharyya_at_a_huge_kurtosis_tends_to_the_two_moment_bound(kappa):
+    # d*(1 + t**2) overflowed at kappa = 1.7e308 and gave probability 0
+    assert bhattacharyya_bound(3.0, 0.0, kappa).probability == 0.1
 
 
 def test_bhattacharyya_domain_rejection():

@@ -542,9 +542,11 @@ def _read_outcome(reader, path):
 
 @settings(max_examples=400)
 @given(header=_HEADER, rows=st.lists(st.tuples(_ROW, _EOL), max_size=12),
-       last_eol=st.booleans())
-def test_reader_matches_reference(tmp_path_factory, header, rows, last_eol):
-    text = "".join(row + eol for row, eol in [(header, "\n")] + rows)
+       last_eol=st.booleans(), crlf=st.booleans())
+def test_reader_matches_reference(tmp_path_factory, header, rows, last_eol, crlf):
+    if crlf:  # every line ends in CRLF: the block path takes such files
+        rows = [(row, "\r\n") for row, _ in rows]
+    text = "".join(row + eol for row, eol in [(header, "\r\n" if crlf else "\n")] + rows)
     if not last_eol:
         text = text.rstrip("\r\n")
     path = tmp_path_factory.getbasetemp() / "reader.csv"
@@ -567,9 +569,9 @@ _LONG_VALUE = "0." + "0" * 140_000 + "1"  # finite, and longer than the field li
 @pytest.mark.parametrize("dated", [False, True], ids=["value", "date-value"])
 @pytest.mark.parametrize("irregular", [
     "0.5\r", "0.5\r0.25", '"0.5"', "", " \t", "a,b,0.5", "nan", "value",
-    "2024-01-02,0.5", "0.5", _LONG_VALUE,
+    "2024-01-02,0.5", "0.5", _LONG_VALUE, "\r", "2024-01-02,0.5\r",
 ], ids=["crlf", "cr", "quote", "blank", "whitespace", "three-fields", "nan",
-        "header-like", "dated", "plain", "long-value"])
+        "header-like", "dated", "plain", "long-value", "blank-crlf", "dated-crlf"])
 def test_reader_falls_back_after_the_first_block(tmp_path, dated, irregular):
     # 8,000 rows of 20 to 32 characters span at least two 64 KiB blocks, and
     # row 6,000 lies past the first
@@ -583,7 +585,8 @@ def test_reader_falls_back_after_the_first_block(tmp_path, dated, irregular):
     assert took_blocks and got == _reference_read_return_csv(str(path))
     rows.insert(6000, irregular)
     took_blocks, got = _block_csv(path, header + "\n".join(rows) + "\n")
-    assert took_blocks == (irregular == ("2024-01-02,0.5" if dated else "0.5"))
+    # a CRLF line end is regular: only a row of the file's own kind stays on blocks
+    assert took_blocks == (irregular.removesuffix("\r") == ("2024-01-02,0.5" if dated else "0.5"))
     if irregular == _LONG_VALUE:
         assert got == ("CsvFormatError", f"line 6002: field larger than field limit "
                                          f"({csv.field_size_limit()})")
@@ -607,10 +610,16 @@ def test_reader_falls_back_after_the_first_block(tmp_path, dated, irregular):
     # a quoted date spans three lines, each with one comma and a float after it
     ('"x,1\n2024-01-01,1.5\ny",2.5\n', False),
     ("2024-01-01,1.5\na\r,2.5\n", False),  # the CR ends a record whose one field is "a"
+    ("date,value\r\n2024-01-01,1.5\r\n2024-01-02,2.5\r\n", True),
+    ("value\r\n1.5\n2.5\r\n", True),  # CRLF and LF mixed
+    ("value\r\n1.5\r\n\r\n", False),  # a blank CRLF line
+    ("value\r\n1.5\r\n2.5\r", False),  # a bare CR ends the file
+    ("\x1c1.5\r\n2.5\r\n", False),
 ], ids=["x1c-first", "x1c-later", "no-final-newline", "no-final-newline-dated",
         "value-header-dated-data", "value-over-dated-data", "three-field-first-line",
         "blank-then-header", "blank-first-line", "empty", "header-only", "blank-last-line",
-        "quoted-lines", "cr-inside-a-line"])
+        "quoted-lines", "cr-inside-a-line", "crlf-dated", "crlf-and-lf", "blank-crlf-line",
+        "bare-cr-at-the-end", "x1c-first-crlf"])
 def test_reader_edge_cases_match_reference(tmp_path, text, took_blocks):
     assert _block_csv(tmp_path / "edge.csv", text) == (
         took_blocks, _read_outcome(_reference_read_return_csv, str(tmp_path / "edge.csv")))

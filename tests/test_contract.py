@@ -1,9 +1,10 @@
 """The library contract: every public callable, fed a hostile number in any
 one numeric argument, returns a result with no nan in it or raises a
-TailboundError.  Nothing else escapes: no OverflowError, ZeroDivisionError,
-MemoryError or silent nan.
+TailboundError, and so does every property of that result.  Nothing else
+escapes: no OverflowError, ZeroDivisionError, MemoryError or silent nan.
 """
 
+import inspect
 import math
 
 import pytest
@@ -27,7 +28,7 @@ class Data(list):
 
 def _tail_factor_query(*args):
     query = distributions.TailFactorQuery(*args)
-    return query, query.probability, query.tail_factor()
+    return query, query.tail_factor()
 
 
 # callable -> legitimate arguments; each numeric or Data argument is attacked.
@@ -72,6 +73,18 @@ RECORDS = {"KurtosisRange", "ExtremePointSolution", "Moments", "ModelVerdict",
            "EmpiricalVerdict", "BoundEvaluation", "OutlierSearchResult", "ComparisonRow"}
 
 
+def _read(result):
+    """result, with the value of every property of every record in it read
+    off and appended to that record's items."""
+    if isinstance(result, tuple):
+        props = inspect.getmembers(type(result), lambda attr: isinstance(attr, property))
+        return [_read(item) for item in result] + [_read(getattr(result, name))
+                                                  for name, _ in props]
+    if isinstance(result, list):
+        return [_read(item) for item in result]
+    return result
+
+
 def _nans(result):
     if isinstance(result, float):
         return [result] if result != result else []
@@ -89,7 +102,7 @@ def test_every_public_callable_is_covered():
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_legitimate_arguments_return(name):
     call, args = CALLS[name]
-    assert not _nans(call(*args))
+    assert not _nans(_read(call(*args)))
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -107,7 +120,7 @@ def test_a_hostile_number_ends_in_a_value_or_a_tailbound_error(name, data):
     else:
         args[i] = value
     try:
-        result = call(*args)
+        result = _read(call(*args))
     except TailboundError:
         return
     assert not _nans(result), result

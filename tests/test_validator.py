@@ -16,6 +16,7 @@ from tailbound import (
     TableLookupError,
     construct_distribution,
     empirical_validate,
+    extreme_point,
     feasible_floor,
     feasible_kurtosis_range,
     max_safe_history,
@@ -25,6 +26,7 @@ from tailbound import (
     validate_model,
     validator,
 )
+from tailbound.errors import check_int, check_real
 
 import goldens
 
@@ -94,6 +96,18 @@ def _bisection_reference(tail, kappa, ceiling):
     return lo
 
 
+def _count_evaluations(monkeypatch) -> list[float]:
+    """The list that every evaluation of a(n) appends its n to from now on:
+    each goes through one _quadratic, in validator or in _solve."""
+    calls = []
+    for module in (validator, extreme_point):
+        def counted(nf, kappa, formula=module._quadratic):
+            calls.append(nf)
+            return formula(nf, kappa)
+        monkeypatch.setattr(module, "_quadratic", counted)
+    return calls
+
+
 @given(
     st.floats(min_value=0.0, max_value=3.0),
     st.floats(min_value=math.log10(1.01), max_value=3.0),
@@ -107,14 +121,8 @@ def test_max_safe_history_bisection_property(log_tail, log_kappa, ceiling):
             max_safe_history(tail, kappa, ceiling=ceiling)
         return
 
-    solves, solve = [], validator._solve
-
-    def counted(n, k):
-        solves.append(n)
-        return solve(n, k)
-
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(validator, "_solve", counted)
+        solves = _count_evaluations(m)
         n = max_safe_history(tail, kappa, ceiling=ceiling)
     assert n == want
     assert solves  # the count below sees every evaluation of a(n)
@@ -177,6 +185,86 @@ def test_max_safe_history_edge_inputs_match_bisection(tail, kappa, ceiling):
         assert got == 0 or got[0] is DomainError
     if tail > 1e150:
         assert got is None
+
+
+def _search_max_safe_history(tail_factor, kappa, ceiling):
+    """max_safe_history as it was before it decided at the crossing, a search
+    alone: the reference the decision must match bit for bit, errors included."""
+    check_real(tail_factor, "tail factor", above=0.0)
+    check_int(ceiling, "history ceiling", at_least=5)
+    lo = feasible_floor(kappa)
+    if lo > ceiling:
+        raise DomainError(f"no feasible history length at or below the ceiling {ceiling}")
+
+    def breached(n):
+        return n >= ceiling or required_tail_factor(n, kappa) > tail_factor
+
+    crossing = validator._crossing(tail_factor, kappa)
+    guess = math.floor(crossing) + 1 if math.isfinite(crossing) else ceiling
+    first = validator._first_true(breached, lo, min(max(guess, lo), ceiling))
+    if first == ceiling and required_tail_factor(ceiling, kappa) <= tail_factor:
+        return None
+    return 0 if first == lo else first - 1
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def _history_questions(draw):
+    """(tail factor, kappa, ceiling) around the decision at the crossing: tail
+    factors within ulps of a(n), kappas at both ends of the range and at each
+    edge of its guard, and ceilings next to n."""
+    kind = draw(st.sampled_from(["at-a", "random", "hostile"]))
+    if kind == "hostile":
+        return (draw(st.sampled_from([0.0, -1.0, math.nan, math.inf, 5e-324, 1.7e308, 3.0])),
+                draw(st.sampled_from([1.0, 0.5, math.nan, math.inf, 1.7e308, 1.0 + 2**-52,
+                                      7.0])),
+                draw(st.sampled_from([4, 5, True, 2.5, 10**400, 2**63, 10**6])))
+    if kind == "random":
+        return (10.0 ** draw(st.floats(-1.0, 6.0)), 1.0 + 10.0 ** draw(st.floats(-16.0, 3.0)),
+                draw(st.sampled_from([5, 300, 10**7, DEFAULT_HISTORY_CEILING, 2**60])))
+    n = draw(st.one_of(st.integers(5, 10**4), st.integers(10**4, 10**15),
+                       st.integers(2**53 - 3, 2**53 + 3)))
+    k_min, k_max = feasible_kurtosis_range(n)[1:]
+    kappa = _ulps(draw(st.sampled_from([
+        k_max, k_max - 1.0, k_min, k_min + draw(st.floats(0.0, 1.0)) * (k_max - k_min),
+        feasible_kurtosis_range(max(n - 1, 5)).kappa_min,  # infeasible one size down
+        float(n - 3), 1.0 + 2.0 / (n - 1),  # the guard's two edges at n
+    ])), draw(st.integers(-2, 2)))
+    assume(kappa in feasible_kurtosis_range(n))
+    tail = _ulps(required_tail_factor(n, kappa), draw(st.integers(-2, 2)))
+    ceiling = max(5, n + draw(st.integers(-1, 2))) if draw(st.booleans()) else (
+        DEFAULT_HISTORY_CEILING if n < DEFAULT_HISTORY_CEILING else 2**60)
+    return tail, kappa, ceiling
+
+
+@settings(max_examples=1500)
+@given(_history_questions())
+def test_max_safe_history_matches_the_search_bit_for_bit(question):
+    def outcome(search):
+        try:
+            return search(*question)
+        except DomainError as e:
+            return type(e), str(e)
+
+    assert outcome(max_safe_history) == outcome(_search_max_safe_history)
+
+
+@pytest.mark.parametrize("kappa", goldens.KAPPAS)
+def test_max_safe_history_decides_typical_inputs_at_the_crossing(kappa):
+    # a published six-month tail factor: two evaluations of a(n) and no floor
+    tail = goldens.BLR_GRID["6m"][goldens.KAPPAS.index(kappa)]
+    floors = []
+    with pytest.MonkeyPatch.context() as m:
+        evaluations = _count_evaluations(m)
+        m.setattr(validator, "feasible_floor", lambda k: floors.append(k) or feasible_floor(k))
+        n = max_safe_history(tail, kappa)
+    assert floors == [] and len(evaluations) == 2
+    assert n == _search_max_safe_history(tail, kappa, DEFAULT_HISTORY_CEILING)
 
 
 def test_max_safe_history_rejects_non_finite_tail_factor():
