@@ -25,16 +25,14 @@ skipped.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from itertools import repeat
 from operator import itemgetter
 from typing import Sequence
 
-from . import appendix_search, chebyshev_bounds, distributions, validator
+from . import appendix_search, chebyshev_bounds, distributions, extreme_point, validator
 from .errors import DomainError, TailboundError
-from .extreme_point import samuelson_bound, solve_extreme_point
 from .output import FORMATS, INFEASIBLE_MARKER, OutputDocument
 
 __all__ = ["main", "build_parser"]
@@ -176,8 +174,9 @@ def _kappa_labels(kappa_list: Sequence[float]) -> list[str]:
 
 
 def build_shock_table(n_list: Sequence[int], kappa_list: Sequence[float]) -> OutputDocument:
-    rows = [[n, samuelson_bound(n)]
-            + _grid_cells(n, kappa_list, lambda size, kappa: solve_extreme_point(size, kappa).a)
+    rows = [[n, extreme_point.samuelson_bound(n)]
+            + _grid_cells(n, kappa_list,
+                          lambda size, kappa: extreme_point.solve_extreme_point(size, kappa).a)
             for n in n_list]
     return OutputDocument(
         title="extreme deviation by history length and kurtosis",
@@ -197,7 +196,7 @@ def build_bounds_table(method: str, n_list: Sequence[int] | None,
     def cell(n: int, kappa: float):
         if method == "even-moment":
             return chebyshev_bounds.even_moment_endpoint(n, kappa).threshold_t
-        sol = solve_extreme_point(n, kappa)
+        sol = extreme_point.solve_extreme_point(n, kappa)
         if method == "zelen":
             return chebyshev_bounds.zelen_bound(sol.a, sol.theta3, kappa).one_in_n
         return chebyshev_bounds.bhattacharyya_bound(sol.a, sol.theta3, kappa).probability
@@ -321,6 +320,8 @@ def read_return_csv(path: str) -> list[float]:
             or a file that is not UTF-8 text.
         OSError: unreadable file.
     """
+    import csv  # only empirical pays for loading it
+
     values: list[float] = []
     append, isfinite = values.append, math.isfinite
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -382,6 +383,8 @@ def _read_blocks(fh) -> list[float] | None:
     csv field limit.  It is split by str methods and converted by map, so
     no Python code runs per row.
     """
+    import csv
+
     values: list[float] = []
     limit = csv.field_size_limit()
     header = True

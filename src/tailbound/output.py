@@ -8,7 +8,6 @@ strings (e.g. the out-of-domain marker) or None.
 
 from __future__ import annotations
 
-import csv
 import io
 
 from .errors import DomainError, check_int
@@ -67,6 +66,8 @@ class OutputDocument:
         return str(cell)
 
     def _to_csv(self, precision: int) -> str:
+        import csv  # only csv renders pay for loading it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .distributions import blr_tail_factor
+from . import distributions
 from .errors import DegenerateDataError, DomainError, check_int, check_real
 from .extreme_point import (
     _floats,
@@ -225,7 +225,7 @@ def validate_blr(g_inverse_label: str, kappa: float, history_n: int) -> ModelVer
     Raises:
         TableLookupError: unknown mean-reversion label or kurtosis column.
     """
-    return validate_model(blr_tail_factor(g_inverse_label, kappa), history_n, kappa)
+    return validate_model(distributions.blr_tail_factor(g_inverse_label, kappa), history_n, kappa)
 
 
 class ReturnSeries(NamedTuple):

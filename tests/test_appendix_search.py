@@ -424,27 +424,31 @@ def test_search_agrees_with_direct_moments(points, scale, shift, frac):
 
 def test_import_and_appendix_leave_numpy_unloaded():
     # dataclasses and inspect cost start-up time on every call; json is
-    # needed by json renders only, and the csv/markdown runs below render;
-    # fractions and decimal would mean a slower exact path crept into a sum
+    # needed by json renders only and csv by csv renders and empirical, so
+    # each run below has its own interpreter; fractions and decimal would
+    # mean a slower exact path crept into a sum
     script = (
         "import runpy, sys\n"
         "import tailbound\n"
         "banned = {'numpy', 'dataclasses', 'inspect', 'fractions', 'decimal'}\n"
-        "loaded = banned & set(sys.modules)\n"
+        "loaded = (banned | {'json', 'csv'}) & set(sys.modules)\n"
         "assert not loaded, f'import tailbound loaded {loaded}'\n"
-        "for argv in (['shock-table', '--format', 'csv'], ['appendix', '--n', '500']):\n"
-        "    sys.argv = ['tailbound', *argv]\n"
-        "    try:\n"
-        "        runpy.run_module('tailbound', run_name='__main__', alter_sys=True)\n"
-        "    except SystemExit as exc:\n"
-        "        assert exc.code == 0, f'tailbound {argv[0]} exited {exc.code}'\n"
-        "    loaded = (banned | {'json'}) & set(sys.modules)\n"
-        "    assert not loaded, f'tailbound {argv[0]} loaded {loaded}'\n"
+        "argv, banned = sys.argv[2:], banned | set(sys.argv[1].split())\n"
+        "sys.argv = ['tailbound', *argv]\n"
+        "try:\n"
+        "    runpy.run_module('tailbound', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, f'tailbound {argv[0]} exited {exc.code}'\n"
+        "loaded = banned & set(sys.modules)\n"
+        "assert not loaded, f'tailbound {argv[0]} loaded {loaded}'\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("N,sqrt(N-1),kurtosis=7,")
-    assert "outlier deviation by base shape" in proc.stdout
+    runs = {"N,sqrt(N-1),kurtosis=7,": ["json", "shock-table", "--format", "csv"],
+            "### outlier deviation by base shape": ["json csv", "appendix", "--n", "500"]}
+    for start, argv in runs.items():
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(start)
 
 
 # ---------------------------------------------------------------------------
