@@ -10,7 +10,9 @@ Subcommands:
     appendix      shape-comparison table for the outlier search
 
 Exit codes (stable contract): 0 success or PASS, 1 usage or parse error,
-2 validation FAIL, 3 infeasible domain.
+2 validation FAIL, 3 infeasible domain.  Each subcommand's builder returns
+its document with its own exit code, 3 for a grid with an infeasible cell;
+main maps errors to 1 and 3.
 
 Each subcommand accepts --format {csv,json,markdown}, --output FILE and
 --precision K (decimal places, default 3).  The JSON layout is described by
@@ -19,7 +21,8 @@ docs/output_schema.json.
 CSV input for `empirical`: UTF-8; an optional header line (detected by a
 non-numeric last field, the value); then one observation per line, either
 `value` or `date,value`; plain decimal-point numbers; blank lines are
-skipped.
+skipped.  A stream that cannot seek, such as a pipe, is read record by
+record.
 """
 
 from __future__ import annotations
@@ -57,13 +60,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _precision(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= 17:
-        raise argparse.ArgumentTypeError(f"precision must be within 0..17, got {value}")
-    return value
-
-
 def _int(text: str) -> int:
     """An int that converts to a float, as every count here is used as one."""
     try:
@@ -74,6 +70,13 @@ def _int(text: str) -> int:
         float(value)
     except OverflowError:
         raise argparse.ArgumentTypeError("integer too large to convert to float") from None
+    return value
+
+
+def _precision(text: str) -> int:
+    value = _int(text)
+    if not 0 <= value <= 17:
+        raise argparse.ArgumentTypeError(f"precision must be within 0..17, got {value}")
     return value
 
 
@@ -104,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="history lengths (rows)")
     p.add_argument("--kurtosis", type=float, nargs="+", default=DEFAULT_KAPPAS,
                    help="kurtosis values (columns)")
+    p.set_defaults(build=build_shock_table)
     _add_output_flags(p)
 
     p = sub.add_parser("bounds", help="moment-bound grid")
@@ -112,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int, nargs="+", default=None,
                    help="sample sizes (rows; default depends on method)")
     p.add_argument("--kurtosis", type=float, nargs="+", default=DEFAULT_KAPPAS)
+    p.set_defaults(build=build_bounds_table)
     _add_output_flags(p)
 
     p = sub.add_parser("tail-factor", help="once-in-n model quantile")
@@ -120,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="degrees of freedom (student-t only)")
     p.add_argument("--horizon", type=float, required=True, metavar="N",
                    help="exceedance horizon n; quantile level is 1 - 1/n")
+    p.set_defaults(build=build_tail_factor)
     _add_output_flags(p)
 
     p = sub.add_parser("validate", help="check a tail factor against the bound")
@@ -133,11 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", type=_int, required=True, metavar="N")
     p.add_argument("--days-per-year", type=_positive_int, default=250,
                    help="business days per year (reporting only; default 250)")
+    p.set_defaults(build=build_validate)
     _add_output_flags(p)
 
     p = sub.add_parser("empirical", help="check a tail factor against observed data")
     p.add_argument("file", help="CSV of observations: `value` or `date,value` lines")
     p.add_argument("--tail-factor", type=float, required=True)
+    p.set_defaults(build=build_empirical)
     _add_output_flags(p)
 
     p = sub.add_parser("appendix", help="base-shape comparison table")
@@ -145,6 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base sizes m (each search uses m + 1 points)")
     p.add_argument("--kappa", type=float, default=16.0,
                    help="target kurtosis (default 16)")
+    p.set_defaults(build=build_appendix)
     _add_output_flags(p)
 
     return parser
@@ -155,15 +164,20 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _grid_cells(n: int, kappa_list: Sequence[float], cell) -> list:
-    """cell(n, kappa) for each kappa, the marker where it is out of domain."""
-    cells: list = []
-    for kappa in kappa_list:
-        try:
-            cells.append(cell(n, kappa))
-        except DomainError:
-            cells.append(INFEASIBLE_MARKER)
-    return cells
+def _grid(n_list: Sequence[int], kappa_list: Sequence[float], cell, lead) -> tuple[list, int]:
+    """One row per n: lead(n), then cell(n, kappa) for each kappa or the
+    marker where that is out of domain; exit 3 once any cell is."""
+    rows, code = [], EXIT_OK
+    for n in n_list:
+        row = lead(n)
+        for kappa in kappa_list:
+            try:
+                row.append(cell(n, kappa))
+            except DomainError:
+                row.append(INFEASIBLE_MARKER)
+                code = EXIT_INFEASIBLE
+        rows.append(row)
+    return rows, code
 
 
 def _kappa_labels(kappa_list: Sequence[float]) -> list[str]:
@@ -173,25 +187,21 @@ def _kappa_labels(kappa_list: Sequence[float]) -> list[str]:
             for k in kappa_list]
 
 
-def build_shock_table(n_list: Sequence[int], kappa_list: Sequence[float]) -> OutputDocument:
-    rows = [[n, extreme_point.samuelson_bound(n)]
-            + _grid_cells(n, kappa_list,
-                          lambda size, kappa: extreme_point.solve_extreme_point(size, kappa).a)
-            for n in n_list]
+def build_shock_table(args) -> tuple[OutputDocument, int]:
+    rows, code = _grid(args.n, args.kurtosis,
+                       lambda n, kappa: extreme_point.solve_extreme_point(n, kappa).a,
+                       lambda n: [n, extreme_point.samuelson_bound(n)])
     return OutputDocument(
         title="extreme deviation by history length and kurtosis",
-        columns=["N", "sqrt(N-1)"] + _kappa_labels(kappa_list),
+        columns=["N", "sqrt(N-1)"] + _kappa_labels(args.kurtosis),
         rows=rows,
         notes=["cells are max standardised deviations a(N, kurtosis); "
                "population moments, divisor N"],
-    )
+    ), code
 
 
-def build_bounds_table(method: str, n_list: Sequence[int] | None,
-                       kappa_list: Sequence[float]) -> OutputDocument:
-    if n_list is None:
-        n_list = {"even-moment": EVEN_MOMENT_N, "zelen": EVEN_MOMENT_N,
-                  "bhattacharyya": BHATTACHARYYA_N}[method]
+def build_bounds_table(args) -> tuple[OutputDocument, int]:
+    method = args.method
 
     def cell(n: int, kappa: float):
         if method == "even-moment":
@@ -201,7 +211,8 @@ def build_bounds_table(method: str, n_list: Sequence[int] | None,
             return chebyshev_bounds.zelen_bound(sol.a, sol.theta3, kappa).one_in_n
         return chebyshev_bounds.bhattacharyya_bound(sol.a, sol.theta3, kappa).probability
 
-    rows = [[n] + _grid_cells(n, kappa_list, cell) for n in n_list]
+    n_list = args.n or (BHATTACHARYYA_N if method == "bhattacharyya" else EVEN_MOMENT_N)
+    rows, code = _grid(n_list, args.kurtosis, cell, lambda n: [n])
     titles = {
         "even-moment": "fourth-moment bound threshold (kappa*N)^(1/4) at probability 1/N",
         "zelen": "Zelen bound expressed as one-in-N at the extreme-point threshold",
@@ -209,35 +220,27 @@ def build_bounds_table(method: str, n_list: Sequence[int] | None,
     }
     return OutputDocument(
         title=titles[method],
-        columns=["N"] + _kappa_labels(kappa_list),
+        columns=["N"] + _kappa_labels(args.kurtosis),
         rows=rows,
-    )
+    ), code
 
 
-def build_tail_factor(model: str, dof: int | None, horizon: float) -> OutputDocument:
+def build_tail_factor(args) -> tuple[OutputDocument, int]:
+    model, dof, horizon = args.model, args.dof, args.horizon
     if model == "student-t" and dof is None:
         raise _UsageError("--model student-t requires --dof")
     if model == "normal" and dof is not None:
         raise _UsageError("--dof applies to --model student-t only")
     query = distributions.TailFactorQuery(horizon_n=horizon, model=model, dof=dof)
-    return OutputDocument(
+    doc = OutputDocument(
         title="once-in-horizon tail factor",
         columns=["model", "dof", "horizon_n", "probability", "tail_factor"],
         rows=[[model, dof, horizon, query.probability, query.tail_factor()]],
     )
-
-
-def _verdict_doc(v: validator.ModelVerdict, extra_notes: Sequence[str] = ()) -> OutputDocument:
-    safe = v.max_safe_history
-    return OutputDocument(
-        title="shock model validation",
-        columns=["tail_factor", "history_n", "kurtosis", "required_a",
-                 "margin", "max_safe_history", "verdict"],
-        rows=[[v.tail_factor, v.history_n, v.kappa, v.required_a, v.margin,
-               "unbounded" if safe is None else safe,
-               "PASS" if v.passed else "FAIL"]],
-        notes=list(extra_notes),
-    )
+    if model == "student-t" and dof <= 2:  # after the solve, so a rejected dof gets none
+        print(f"warning: student-t with dof={dof} has infinite "
+              "variance; the raw quantile is still reported", file=sys.stderr)
+    return doc, EXIT_OK
 
 
 def build_validate(args) -> tuple[OutputDocument, int]:
@@ -246,7 +249,7 @@ def build_validate(args) -> tuple[OutputDocument, int]:
             raise _UsageError("--blr requires --g-inv")
         if args.tail_factor is not None:
             raise _UsageError("--tail-factor conflicts with --blr (it is looked up)")
-        verdict = validator.validate_blr(args.g_inv, args.kurtosis, args.history)
+        v = validator.validate_blr(args.g_inv, args.kurtosis, args.history)
         years = args.history / args.days_per_year
         notes = [f"BLR tail factor for 1/g = {args.g_inv}, table {distributions.BLR_TABLE_VERSION}",
                  f"history of {args.history} days is {years:.1f} years at "
@@ -254,16 +257,25 @@ def build_validate(args) -> tuple[OutputDocument, int]:
     else:
         if args.tail_factor is None:
             raise _UsageError("provide --tail-factor, or --blr with --g-inv")
-        verdict = validator.validate_model(args.tail_factor, args.history, args.kurtosis)
+        v = validator.validate_model(args.tail_factor, args.history, args.kurtosis)
         notes = []
-    return _verdict_doc(verdict, notes), EXIT_OK if verdict.passed else EXIT_FAIL
+    safe = v.max_safe_history
+    return OutputDocument(
+        title="shock model validation",
+        columns=["tail_factor", "history_n", "kurtosis", "required_a",
+                 "margin", "max_safe_history", "verdict"],
+        rows=[[v.tail_factor, v.history_n, v.kappa, v.required_a, v.margin,
+               "unbounded" if safe is None else safe,
+               "PASS" if v.passed else "FAIL"]],
+        notes=notes,
+    ), EXIT_OK if v.passed else EXIT_FAIL
 
 
-def build_empirical(path: str, tail_factor: float) -> tuple[OutputDocument, int]:
-    values = read_return_csv(path)
-    result = validator.empirical_validate(values, tail_factor)
+def build_empirical(args) -> tuple[OutputDocument, int]:
+    values = read_return_csv(args.file)
+    result = validator.empirical_validate(values, args.tail_factor)
     s, v = result.series, result.verdict
-    doc = OutputDocument(
+    return OutputDocument(
         title="empirical tail-factor validation",
         columns=["n", "mean", "sigma", "kurtosis", "max_abs_dev_sigmas",
                  "tail_factor", "required_a", "margin", "historical_breach",
@@ -275,19 +287,18 @@ def build_empirical(path: str, tail_factor: float) -> tuple[OutputDocument, int]
         notes=(["observed kurtosis outside the feasible range; Samuelson "
                 "fallback threshold sqrt(n-1) applied"]
                if result.kurtosis_infeasible else []),
-    )
-    return doc, EXIT_OK if result.passed else EXIT_FAIL
+    ), EXIT_OK if result.passed else EXIT_FAIL
 
 
-def build_appendix(base_sizes: Sequence[int], kappa: float) -> OutputDocument:
-    rows = [list(r) for r in appendix_search.comparison_table(base_sizes, kappa)]
+def build_appendix(args) -> tuple[OutputDocument, int]:
+    rows = [list(r) for r in appendix_search.comparison_table(args.n, args.kappa)]
     return OutputDocument(
-        title=f"outlier deviation by base shape at kurtosis {kappa:g}",
+        title=f"outlier deviation by base shape at kurtosis {args.kappa:g}",
         columns=["N-1", "sqrt(N-1)", "bimodal", "trimodal", "two_thirds", "uniform"],
         rows=rows,
         notes=["each row grafts one outlier onto an (N-1)-point base; "
                "sqrt(N-1) is the kurtosis-free ceiling for the N-point dataset"],
-    )
+    ), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +323,9 @@ def _parse_number(text: str, lineno: int) -> float:
 def read_return_csv(path: str) -> list[float]:
     """Read observations per the CSV contract in the module docstring.
 
-    A regular file is read in 64 KiB blocks; any other goes back to the
-    record loop, with the same values and the same messages.
+    A regular file is read in 64 KiB blocks; any other, and any stream that
+    cannot seek back to its start, goes to the record loop, with the same
+    values and the same messages.
 
     Raises:
         CsvFormatError: malformed content, with the offending line number,
@@ -325,13 +337,14 @@ def read_return_csv(path: str) -> list[float]:
     values: list[float] = []
     append, isfinite = values.append, math.isfinite
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            fast = _read_blocks(fh)
-        except UnicodeDecodeError:  # the record loop finds any earlier error
-            fast = None
-        if fast is not None:
-            return fast
-        fh.seek(0)
+        if fh.seekable():  # a pipe cannot seek back for the record loop
+            try:
+                fast = _read_blocks(fh)
+            except UnicodeDecodeError:  # the record loop finds any earlier error
+                fast = None
+            if fast is not None:
+                return fast
+            fh.seek(0)
         reader = csv.reader(fh)
         first_record_seen = False
         try:
@@ -431,30 +444,9 @@ def _emit(doc: OutputDocument, args) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    code = EXIT_OK
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "shock-table":
-            doc = build_shock_table(args.n, args.kurtosis)
-        elif args.command == "bounds":
-            doc = build_bounds_table(args.method, args.n, args.kurtosis)
-        elif args.command == "tail-factor":
-            doc = build_tail_factor(args.model, args.dof, args.horizon)
-            if args.model == "student-t" and args.dof <= 2:
-                # after the build, so a rejected dof gets no warning
-                print(f"warning: student-t with dof={args.dof} has infinite "
-                      "variance; the raw quantile is still reported",
-                      file=sys.stderr)
-        elif args.command == "validate":
-            doc, code = build_validate(args)
-        elif args.command == "empirical":
-            doc, code = build_empirical(args.file, args.tail_factor)
-        else:  # appendix
-            doc = build_appendix(args.n, args.kappa)
-        if doc.has_marker():  # a grid with an infeasible cell
-            code = EXIT_INFEASIBLE
+        doc, code = args.build(args)
         _emit(doc, args)
     except (_UsageError, CsvFormatError, OSError) as exc:
         print(f"tailbound: error: {exc}", file=sys.stderr)
@@ -462,7 +454,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TailboundError as exc:
         print(f"tailbound: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-
     return code
 
 

@@ -40,10 +40,6 @@ class OutputDocument:
         self.rows = rows
         self.notes = [] if notes is None else notes
 
-    def has_marker(self) -> bool:
-        """Whether any cell holds :data:`INFEASIBLE_MARKER`."""
-        return any(cell == INFEASIBLE_MARKER for row in self.rows for cell in row)
-
     def render(self, fmt: str, precision: int = 3) -> str:
         if fmt not in FORMATS:
             raise DomainError(f"format must be one of {FORMATS}, got {fmt!r}")

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: formats, exit codes, file IO."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -634,6 +635,26 @@ def test_reader_reports_a_bad_value_before_a_later_bad_byte(tmp_path):
     assert got == ("CsvFormatError", "line 2: cannot parse value 'abc'")
 
 
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+@pytest.mark.parametrize("header", ['"date","value"', "date,value"],
+                         ids=["quoted-header", "regular"])
+def test_empirical_reads_a_pipe_like_the_same_file(run_cli, tmp_path, header):
+    # a pipe cannot seek, so it must not start in the block reader, which
+    # hands an irregular file back to the record loop from its first byte
+    rng = random.Random(16)
+    text = header + "\n" + "".join(f"2024-01-01,{rng.gauss(0.0, 0.01)!r}\n"
+                                   for _ in range(300))
+    path = tmp_path / "returns.csv"
+    path.write_text(text, encoding="utf-8")
+    argv = ["--tail-factor", 50, "--format", "csv", "--precision", 17]
+    piped = run_cli("empirical", "/dev/stdin", *argv, input=text)
+    named = run_cli("empirical", path, *argv)
+    assert (piped.returncode, piped.stderr) == (0, "")
+    assert piped.stdout.startswith("n,mean,")
+    assert (piped.returncode, piped.stdout, piped.stderr) == (
+        named.returncode, named.stdout, named.stderr)
+
+
 def _gauss_csv(path, scale):
     rng = random.Random(20191)
     path.write_text("".join(f"{rng.gauss(0.0, 1.0) * scale!r}\n" for _ in range(1000)),
@@ -707,11 +728,20 @@ def test_history_past_the_float_squares_gives_a_finite_row(argv, code, marker, c
     assert [c for c in cells if isinstance(c, str)] == ([marker] if marker else [])
 
 
-def test_malformed_integer_keeps_argparse_message(capsys):
+@pytest.mark.parametrize("argv", [
+    ["shock-table", "--n", "25x"],
+    ["shock-table", "--precision", "25x"],
+    ["validate", "--tail-factor", "3", "--kurtosis", "7", "--history", "25x"],
+    ["tail-factor", "--model", "student-t", "--horizon", "100", "--dof", "25x"],
+    ["validate", "--tail-factor", "3", "--kurtosis", "7", "--history", "100",
+     "--days-per-year", "25x"],
+], ids=["--n", "--precision", "--history", "--dof", "--days-per-year"])
+def test_malformed_integer_keeps_argparse_message(argv, capsys):
+    # the message names the type, never a private parsing function
     with pytest.raises(SystemExit) as exc:
-        cli.main(["shock-table", "--n", "25x"])
+        cli.main(argv)
     assert exc.value.code == 1
-    assert "argument --n: invalid int value: '25x'" in capsys.readouterr().err
+    assert f"argument {argv[-2]}: invalid int value: '25x'" in capsys.readouterr().err
 
 
 def test_huge_cells_render_in_exponent_form(capsys):
@@ -775,6 +805,33 @@ def test_no_subcommand_is_usage_error(run_cli):
 def test_unknown_subcommand_is_usage_error(run_cli):
     res = run_cli("frobnicate")
     assert res.returncode == 1
+
+
+def test_every_subcommand_sets_its_builder():
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(subparsers.choices) == ["appendix", "bounds", "empirical",
+                                          "shock-table", "tail-factor", "validate"]
+    for name, parser in subparsers.choices.items():
+        assert callable(parser.get_default("build")), name
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["shock-table", "--n", "250"], 0),
+    (["bounds", "--method", "zelen", "--n", "5", "6", "--kurtosis", "3.25", "4.2", "nan"], 3),
+    (["tail-factor", "--model", "normal", "--horizon", "1000"], 0),
+    (["validate", "--tail-factor", "7", "--kurtosis", "7", "--history", "500"], 2),
+    (["empirical", "RETURNS", "--tail-factor", "50"], 0),
+    (["appendix", "--n", "20", "--kappa", "12"], 0),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_each_subcommand_returns_its_builders_exit_code(argv, code, tmp_path, capsys):
+    returns = write_values(tmp_path / "returns.csv",
+                           [(-1) ** i * (i % 7) / 100 for i in range(200)])
+    assert cli.main([returns if a == "RETURNS" else a for a in argv]) == code
+    out, _ = capsys.readouterr()
+    assert out.startswith("### ")
+    # an exit-3 grid still prints, with the marker in its out-of-domain cells
+    assert ("| infeasible |" in out) == (code == 3)
 
 
 # ---------------------------------------------------------------------------
