@@ -16,22 +16,12 @@ import importlib.util as _util
 import sys as _sys
 
 from . import errors
-from .errors import (
-    BoundValidityError,
-    BracketRangeError,
-    DegenerateDataError,
-    DomainError,
-    InfeasibleKurtosisError,
-    MomentInfeasibleError,
-    SearchError,
-    TableLookupError,
-    TailboundError,
-    ThresholdTooSmallError,
-)
+from .errors import *
 
 __version__ = "0.1.0"
 
-# the public names of each lazily executed module
+# the public names of each lazily executed module, the only list of them:
+# each module reads its __all__ from here
 _EXPORTS = {
     "appendix_search": (
         "ComparisonRow",

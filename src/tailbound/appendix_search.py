@@ -16,8 +16,8 @@ When the base size is not divisible by the shape's modality the remainder
 goes to the modes by fixed rules, stated once in ``_levels``; they perturb
 the result by O(1/m) only.  The bimodal search is an independent route to
 the closed form: a bimodal base plus outlier is an affine image of the
-extremal configuration, so for odd total size the searched statistic must
-match solve_extreme_point to a few ulps.
+paper's equal-split configuration, so for odd total size the searched
+statistic must match solve_extreme_point to a few ulps.
 
 The base's central power sums about its mean are taken once, and the
 outlier is merged in by expanding the centred powers about the new mean, in
@@ -45,12 +45,12 @@ from itertools import chain, repeat
 from operator import mul, sub
 from typing import NamedTuple, Sequence
 
+from . import _EXPORTS
 from .errors import BracketRangeError, DomainError, SearchError, check_int, check_real
 from .extreme_point import _MAX_POINTS as UNIFORM_MAX_M
 from .extreme_point import _central_sums, _check_points, _floats, _wsum
 
-__all__ = ["SHAPES", "KAPPA_TOL", "OutlierSearchResult", "ComparisonRow", "generate_base",
-           "search_outlier", "search_outlier_on_points", "comparison_table"]
+__all__ = list(_EXPORTS["appendix_search"])
 
 #: largest miss of the target kurtosis a search returns: absolute up to a
 #: target of 1000, relative above it (KAPPA_TOL * target/1000), where the

@@ -16,6 +16,13 @@ Bhattacharyya (one-sided upper tail):
                  / ((kappa - theta3**2 - 1)*(1 + t**2) + (t**2 - t*theta3 - 1))
     valid for t > 0 with t**2 - t*theta3 - 1 > 0.
 
+The Bhattacharyya expression is the paper's, and on some inputs it is not
+an upper bound.  Each dataset construct_distribution(n, kappa) builds has
+exactly one point in n at a, yet at t = a with its theta3 and kappa the
+expression gives 0.17614 at (n, kappa) = (5, 3.05), against 1/5; 0.10142
+at (9, 7.07), against 1/9; and 0.0098538 at (101, 98.0), against 1/101.
+ROADMAP.md item 11 tracks the formula.
+
 At the extreme-point threshold t = a(n, kappa) of :mod:`tailbound.extreme_point`,
 with A = a**2, the Bhattacharyya margin factors as
 
@@ -38,16 +45,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .errors import (DomainError, MomentInfeasibleError, ThresholdTooSmallError, check_int,
                      check_real)
 
-__all__ = [
-    "BoundEvaluation",
-    "even_moment_bound",
-    "even_moment_endpoint",
-    "zelen_bound",
-    "bhattacharyya_bound",
-]
+__all__ = list(_EXPORTS["chebyshev_bounds"])
 
 
 class BoundEvaluation(NamedTuple):
@@ -139,6 +141,9 @@ def zelen_bound(t: float, theta3: float, theta4: float) -> BoundEvaluation:
 
 def bhattacharyya_bound(t: float, theta3: float, kappa: float) -> BoundEvaluation:
     """One-sided upper-tail bound from the first four moments.
+
+    This is the paper's expression, and on some inputs it is not an upper
+    bound: at (n, kappa) = (5, 3.05) it gives 0.17614 against a realised 1/5.
 
     Raises:
         DomainError: t, theta3 or kappa not a finite number.

@@ -294,7 +294,7 @@ def build_appendix(args) -> tuple[OutputDocument, int]:
     rows = [list(r) for r in appendix_search.comparison_table(args.n, args.kappa)]
     return OutputDocument(
         title=f"outlier deviation by base shape at kurtosis {args.kappa:g}",
-        columns=["N-1", "sqrt(N-1)", "bimodal", "trimodal", "two_thirds", "uniform"],
+        columns=["N-1", "sqrt(N-1)", *appendix_search.SHAPES],
         rows=rows,
         notes=["each row grafts one outlier onto an (N-1)-point base; "
                "sqrt(N-1) is the kurtosis-free ceiling for the N-point dataset"],

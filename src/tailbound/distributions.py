@@ -38,23 +38,10 @@ import sys
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .errors import DomainError, SearchError, TableLookupError, check_int, check_real
 
-__all__ = [
-    "normal_cdf",
-    "normal_isf",
-    "normal_quantile",
-    "student_t_cdf",
-    "student_t_isf",
-    "student_t_quantile",
-    "student_t_kurtosis",
-    "blr_kurtosis",
-    "blr_h_from_kurtosis",
-    "TailFactorQuery",
-    "blr_tail_factor",
-    "BLR_TAIL_FACTORS",
-    "BLR_TABLE_VERSION",
-]
+__all__ = list(_EXPORTS["distributions"])
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)

@@ -1,10 +1,10 @@
 """Closed-form extreme-point analysis for kurtosis-constrained samples.
 
 How many population standard deviations can a single observation sit away
-from the mean of an n-point sample whose kurtosis is pinned at kappa?  The
-maximising configuration consists of one extreme observation together with
-a symmetric two-level background: after normalising to population mean 0
-and variance 1 it reads
+from the mean of an n-point sample whose kurtosis is pinned at kappa?  This
+module answers within the paper's family: one extreme observation together
+with a background split equally over two levels, which after normalising to
+population mean 0 and variance 1 reads
 
     x_1 = a,
     (n-1)/2 points at  b - a/(n-1),
@@ -36,6 +36,13 @@ non-excess kurtosis).  Kurtosis is feasible on the half-open interval
 (n/(n-1), (n**2 - 3n + 3)/(n - 1)]; the upper endpoint is the Samuelson
 configuration b = 0, where a attains sqrt(n-1).
 
+a(n, kappa) is the largest deviation within that equal-split family, not
+over all n-point samples: an unequal split can go further.  At n = 7 the
+set {-0.784283 x4, 0.587622 x2, 1.961887} has kurtosis 2.366666860592851
+(by oracle_moments) and its top point 1.96189 sigma out, where
+solve_extreme_point(7, 2.366666860592851).a is 1.92177.  ROADMAP.md item 10
+tracks the true maximum.
+
 Note the small-kappa limit: as kappa decreases to the lower endpoint the
 canonical root tends to sqrt(2*(n-1)/(n+1)), not to zero.  Below that
 endpoint the quadratic briefly admits two positive roots; this module
@@ -50,21 +57,11 @@ from itertools import repeat
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
+from . import _EXPORTS
 from .errors import (DegenerateDataError, DomainError, InfeasibleKurtosisError, check_int,
                      check_real)
 
-__all__ = [
-    "KurtosisRange",
-    "ExtremePointSolution",
-    "Moments",
-    "feasible_kurtosis_range",
-    "feasible_floor",
-    "solve_extreme_point",
-    "asymptotic_a",
-    "samuelson_bound",
-    "construct_distribution",
-    "oracle_moments",
-]
+__all__ = list(_EXPORTS["extreme_point"])
 
 #: every float is an integer multiple of 1/_TWO_1074, the smallest subnormal
 _TWO_1074 = 1 << 1074
@@ -101,7 +98,7 @@ class KurtosisRange(NamedTuple):
 
 
 class ExtremePointSolution(NamedTuple):
-    """Solved extremal configuration for a given (n, kappa).
+    """Solved equal-split configuration for a given (n, kappa).
 
     Attributes:
         n: sample size.
@@ -132,7 +129,7 @@ class Moments(NamedTuple):
 
 
 def feasible_kurtosis_range(n: float) -> KurtosisRange:
-    """Kurtosis interval attainable by the extremal configuration at size n.
+    """Kurtosis interval attainable by the equal-split configuration at size n.
 
     The lower endpoint n/(n-1) (exclusive) is the kurtosis of the degenerate
     configuration whose extreme point collapses into the centre; the upper
@@ -189,7 +186,10 @@ def feasible_floor(kappa: float) -> int:
 
 
 def solve_extreme_point(n: float, kappa: float) -> ExtremePointSolution:
-    """Solve the quadratic (*) for the extremal configuration at (n, kappa).
+    """Solve the quadratic (*) for the equal-split configuration at (n, kappa).
+
+    Its a is the largest deviation within the paper's equal-split family,
+    which an unequal split can exceed (see the module docstring).
 
     Returns the canonical (larger) root; see the module docstring for the
     sign discussion.  The upper feasibility endpoint is evaluated in closed
@@ -265,7 +265,7 @@ def samuelson_bound(n: float) -> float:
 
 
 def construct_distribution(n: int, kappa: float) -> list[float]:
-    """Materialise the extremal configuration as an explicit n-point dataset.
+    """Materialise the equal-split configuration as an explicit n-point dataset.
 
     Requires odd integer n so the background splits into two equal halves;
     for even n the closed form remains available through

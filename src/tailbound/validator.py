@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from . import distributions
+from . import _EXPORTS, distributions
 from .errors import DegenerateDataError, DomainError, check_int, check_real
 from .extreme_point import (
     _floats,
@@ -27,17 +27,7 @@ from .extreme_point import (
     samuelson_bound,
 )
 
-__all__ = [
-    "ModelVerdict",
-    "ReturnSeries",
-    "EmpiricalVerdict",
-    "required_tail_factor",
-    "max_safe_history",
-    "validate_model",
-    "validate_blr",
-    "empirical_validate",
-    "DEFAULT_HISTORY_CEILING",
-]
+__all__ = list(_EXPORTS["validator"])
 
 #: Search ceiling beyond which max_safe_history reports "unbounded" (None).
 DEFAULT_HISTORY_CEILING = 10**9
@@ -289,7 +279,7 @@ def empirical_validate(
     """Judge a tail factor against an observed return series.
 
     The threshold is a(n, observed kurtosis) when that kurtosis is feasible
-    for the extremal configuration; otherwise the Samuelson bound is the
+    for the equal-split configuration; otherwise the Samuelson bound is the
     fallback and the verdict is flagged kurtosis_infeasible.
 
     Raises:

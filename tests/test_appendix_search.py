@@ -457,6 +457,8 @@ def test_import_and_appendix_leave_numpy_unloaded():
 
 
 def test_comparison_table_rows():
+    # the CLI labels the shape columns with SHAPES, so the fields follow it
+    assert ComparisonRow._fields[2:] == SHAPES
     rows = comparison_table([20, 50], target_kappa=16.0)
     assert [r.base_m for r in rows] == [20, 50]
     for row in rows:

@@ -71,6 +71,29 @@ def test_public_names_resolve_and_star_import_is_unchanged():
     assert out["unknown"] == "AttributeError(\"module 'tailbound' has no attribute 'x'\")"
 
 
+def test_each_module_declares_exactly_what_the_package_serves():
+    script = (
+        "import json, sys\n"
+        "import tailbound\n"
+        "served = set(tailbound.__all__)\n"
+        "declared, unserved, stale = [], [], []\n"
+        "for m in sys.argv[1:]:\n"
+        "    module = sys.modules[f'tailbound.{m}']\n"
+        "    declared += module.__all__\n"
+        "    unserved += [name for name in module.__all__ if name not in served]\n"
+        "    stale += [name for name in module.__all__\n"
+        "              if name in served and getattr(tailbound, name) is not getattr(module, name)]\n"
+        "print(json.dumps({'declared': declared, 'unserved': unserved, 'stale': stale,\n"
+        "                  'errors': tailbound.errors.__all__}))\n"
+    )
+    out = _run(script, *COMPUTE)
+    assert out["unserved"] == []
+    assert out["stale"] == []
+    # the five lists and the errors' list are the package's exports, each name once
+    exported = sorted(STAR_NAMES - set(SUBMODULES))
+    assert sorted(out["declared"] + out["errors"]) == exported
+
+
 EXECUTED_BY = [
     (["shock-table"], {"extreme_point"}),
     (["tail-factor", "--model", "normal", "--horizon", "1000"], {"distributions"}),
