@@ -16,7 +16,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS, distributions
-from .errors import DegenerateDataError, DomainError, check_int, check_real
+from .errors import DegenerateDataError, DomainError, check_real
 from .extreme_point import (
     _floats,
     _kappa_bounds,
@@ -29,7 +29,8 @@ from .extreme_point import (
 
 __all__ = list(_EXPORTS["validator"])
 
-#: Search ceiling beyond which max_safe_history reports "unbounded" (None).
+#: Longest history validate_model accepts; max_safe_history reports None
+#: ("unbounded") when a history of this length still passes.
 DEFAULT_HISTORY_CEILING = 10**9
 
 
@@ -37,9 +38,9 @@ class ModelVerdict(NamedTuple):
     """Outcome of checking a tail factor against the extreme-point bound.
 
     margin = tail_factor - required_a, and passed is exactly margin >= 0.
-    max_safe_history is the largest history length that would still pass
-    (None when no breach occurs below the search ceiling; 0 when even the
-    smallest feasible history already fails).
+    max_safe_history is the largest history length that would still pass:
+    None when DEFAULT_HISTORY_CEILING, the longest history validate_model
+    takes, still passes, and 0 when even the smallest feasible history fails.
     """
 
     tail_factor: float
@@ -93,52 +94,26 @@ def _crossing(tail_factor: float, kappa: float) -> float:
         m = m_next
 
 
-def _first_true(pred, lo: int, guess: int) -> int:
-    """Smallest integer n >= lo with pred(n), for a pred false then true on
-    n >= lo.  Probes guess >= lo, then 1, 2, 4, ... away from it until pred
-    changes, and bisects that bracket: O(log |guess - answer|) calls of pred."""
-    if pred(guess):
-        bad, good, step = lo - 1, guess, 1  # lo - 1 is never probed
-        while guess - step >= lo:
-            if not pred(guess - step):
-                bad = guess - step
-                break
-            good, step = guess - step, 2 * step
-    else:
-        bad, step = guess, 1
-        while not pred(guess + step):
-            bad, step = guess + step, 2 * step
-        good = guess + step
-    while good - bad > 1:
-        mid = (bad + good) // 2
-        bad, good = (bad, mid) if pred(mid) else (mid, good)
-    return good
-
-
-def max_safe_history(
-    tail_factor: float, kappa: float, ceiling: int = DEFAULT_HISTORY_CEILING
-) -> int | None:
+def max_safe_history(tail_factor: float, kappa: float) -> int | None:
     """Largest history length n whose bound still fits under tail_factor.
 
     The extreme deviation a(n, kappa) grows with n.  Inverting its closed
     form (a cubic in n) gives the real crossing, within a step of the first
-    breach.  When the two integers around the crossing lie well inside the
-    feasible range and below the ceiling, two evaluations of a(n) settle the
-    answer.  Otherwise a search from the crossing, between the feasibility
-    floor and the ceiling, returns the integer an integer bisection would.
+    breach.  So a(n) at the integers around it, clamped between the
+    feasibility floor and DEFAULT_HISTORY_CEILING, settle the answer without
+    a search.
 
-    Returns None when a(ceiling, kappa) <= tail_factor (no violation below
-    the ceiling) and 0 when even the smallest feasible history violates.
+    Returns None when a(DEFAULT_HISTORY_CEILING, kappa) <= tail_factor and 0
+    when even the smallest feasible history violates.
 
     Raises:
         DomainError: tail_factor not a finite positive number, kappa not a
-            finite number above 1, or ceiling not an integer of at least 5 in
-            the float range.
+            finite number above 1, or no feasible history length at or below
+            the ceiling.
     """
     check_real(tail_factor, "tail factor", above=0.0)
-    check_int(ceiling, "history ceiling", at_least=5)
     check_real(kappa, "kurtosis", above=1.0)
-    return _max_safe_history(tail_factor, kappa, ceiling)
+    return _max_safe_history(tail_factor, kappa)
 
 
 def _a(nf: float, kappa: float) -> float:
@@ -148,14 +123,13 @@ def _a(nf: float, kappa: float) -> float:
     return math.sqrt(r + s)
 
 
-def _max_safe_history(tail_factor: float, kappa: float, ceiling: int) -> int | None:
+def _max_safe_history(tail_factor: float, kappa: float) -> int | None:
     """:func:`max_safe_history` at checked arguments."""
+    top = DEFAULT_HISTORY_CEILING
     crossing = _crossing(tail_factor, kappa)  # nan or inf once tail_factor**2 overflows
-    guess = math.floor(crossing) + 1 if math.isfinite(crossing) else ceiling
-    # The search below returns guess - 1 when n = guess - 1 is at or above the
-    # floor, guess is below the ceiling, a(n) <= tail_factor and a(guess) >
-    # tail_factor.  Decide that case here.  With guess <= 2**53, n - 1, n and
-    # n + 1 are exact, and:
+    n = min(math.floor(crossing), top) if math.isfinite(crossing) else top
+    # n is the answer if a(n) <= tail_factor < a(n + 1) at a feasible n < top.
+    # With n <= 10**9, n - 1, n and n + 1 are exact, and:
     # - fl(n - 1) > fl(kappa + 2) gives kappa < n - 3 exactly, and n - 2 is
     #   a float below kappa_max(n) = n - 2 + 1/(n - 1), so kappa is below the
     #   rounded kappa_max(n): no Samuelson endpoint at n or n + 1;
@@ -164,24 +138,27 @@ def _max_safe_history(tail_factor: float, kappa: float, ceiling: int) -> int | N
     #   rounded kappa_min(n) = 1 + 1/(n - 1) can exceed the exact one.
     # kappa_min falls and kappa_max rises with n, so kappa lies strictly
     # inside the rounded range at n and n + 1, n > 4 is at or above the
-    # floor, and (n - 1)*(kappa - 1) < n**2 cannot overflow.
-    if guess <= 2**53:
-        n = float(guess - 1)
-        if (n - 1.0 > kappa + 2.0 and (n - 1.0) * (kappa - 1.0) > 2.0 and guess < ceiling
-                and _a(n, kappa) <= tail_factor < _a(n + 1.0, kappa)):
-            return guess - 1
+    # floor, and _a is _required at both.
+    nf = float(n)
+    if (nf - 1.0 > kappa + 2.0 and (nf - 1.0) * (kappa - 1.0) > 2.0 and n < top - 1
+            and _a(nf, kappa) <= tail_factor < _a(nf + 1.0, kappa)):
+        return n
 
     lo = feasible_floor(kappa)
-    if lo > ceiling:
-        raise DomainError(f"no feasible history length at or below the ceiling {ceiling}")
-
-    def breached(n: int) -> bool:  # the ceiling itself is checked below
-        return n >= ceiling or _required(n, kappa) > tail_factor
-
-    first = _first_true(breached, lo, min(max(guess, lo), ceiling))
-    if first == ceiling and _required(ceiling, kappa) <= tail_factor:
+    if lo > top:
+        raise DomainError(f"no feasible history length at or below the ceiling {top}")
+    n = min(max(n + 1, lo), top)  # the first breach, if the crossing is right
+    if _required(n, kappa) <= tail_factor:  # step up to the first breach
+        while n < top:
+            n += 1
+            if _required(n, kappa) > tail_factor:
+                return n - 1
         return None
-    return 0 if first == lo else first - 1
+    while n > lo:  # step down to the last safe length
+        n -= 1
+        if _required(n, kappa) <= tail_factor:
+            return n
+    return 0
 
 
 def _verdict(tail_factor: float, history_n: int, kappa: float, required: float,
@@ -196,17 +173,21 @@ def validate_model(tail_factor: float, history_n: int, kappa: float) -> ModelVer
 
     Raises:
         DomainError: tail factor not finite and positive, history not a
-            finite number of at least 5, or a float that is not a whole number.
+            finite number of at least 5, above DEFAULT_HISTORY_CEILING, or a
+            float that is not a whole number.
         InfeasibleKurtosisError: kappa infeasible at history_n.
     """
     check_real(tail_factor, "tail factor", above=0.0)
     check_real(history_n, "history length", at_least=5.0)
+    if history_n > DEFAULT_HISTORY_CEILING:  # past it max_safe_history reads None
+        raise DomainError(f"history length above {DEFAULT_HISTORY_CEILING} is not "
+                          f"supported, got {history_n!r}")
     # the verdict reports int(history_n), so a(history_n) must be taken there
     if isinstance(history_n, float) and not history_n.is_integer():
         raise DomainError(f"history length must be a whole number, got {history_n!r}")
     # kappa is inside the range at history_n, so it is a finite number above 1
     return _verdict(tail_factor, history_n, kappa, _required(history_n, kappa),
-                    _max_safe_history(tail_factor, kappa, DEFAULT_HISTORY_CEILING))
+                    _max_safe_history(tail_factor, kappa))
 
 
 def validate_blr(g_inverse_label: str, kappa: float, history_n: int) -> ModelVerdict:

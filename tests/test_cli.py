@@ -714,7 +714,8 @@ def test_integer_beyond_float_is_usage_error(argv, capsys):
 @pytest.mark.parametrize("argv, code, marker", [
     (["shock-table", "--n", str(10**160)], 0, None),
     (["bounds", "--method", "zelen", "--n", str(10**160), "--kurtosis", "7"], 0, None),
-    (["validate", "--tail-factor", "3", "--kurtosis", "7", "--history", str(10**160)],
+    # validate takes no history past 10**9: its longest gives a finite row
+    (["validate", "--tail-factor", "3", "--kurtosis", "7", "--history", str(10**9)],
      2, "FAIL"),
     (["shock-table", "--n", str(10**200), "--kurtosis", "7", "1e150"], 3, "infeasible"),
 ], ids=["shock-table", "bounds", "validate", "shock-table-n-times-kappa-overflows"])
@@ -849,11 +850,12 @@ HISTORY_FLOOR_FAR_FROM_ITS_ESTIMATE = [
                          ids=["kurtosis-1e150", "kurtosis-near-1"])
 def test_history_floor_far_from_its_estimate_exits_3_promptly(run_cli, argv):
     # the feasibility floor of these kurtoses lies near 10**150 or near
-    # 2**40; the timeout fails a search that walks there one size at a time
+    # 2**40, and each history is past the 10**9 that validate takes; the
+    # timeout fails a walk toward the floor one size at a time
     res = run_cli(*argv, timeout=10)
     assert res.returncode == 3
     assert res.stdout == ""
-    assert "no feasible history length" in res.stderr
+    assert "history length above 1000000000 is not supported" in res.stderr
 
 
 _CSV_PATH = "<csv>"  # replaced by the path of the generated file

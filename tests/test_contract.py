@@ -42,7 +42,7 @@ CALLS = {
     "construct_distribution": (extreme_point.construct_distribution, [101, 7.0]),
     "oracle_moments": (extreme_point.oracle_moments, [Data(DATA)]),
     "required_tail_factor": (validator.required_tail_factor, [250, 7.0]),
-    "max_safe_history": (validator.max_safe_history, [10.0, 7.0, 10**4]),
+    "max_safe_history": (validator.max_safe_history, [10.0, 7.0]),
     "validate_model": (validator.validate_model, [10.0, 250, 7.0]),
     "validate_blr": (validator.validate_blr, ["6m", 7.0, 250]),
     "empirical_validate": (validator.empirical_validate, [Data(DATA), 10.0]),

@@ -26,7 +26,7 @@ from tailbound import (
     validate_model,
     validator,
 )
-from tailbound.errors import check_int, check_real
+from tailbound.errors import check_real
 
 import goldens
 
@@ -61,8 +61,8 @@ def test_max_safe_history_bracketing_anchor():
 
 
 def test_max_safe_history_unbounded_marker():
-    assert max_safe_history(1000.0, 7.0, ceiling=300) is None
-    assert required_tail_factor(300, 7.0) < 1000.0  # no breach below ceiling
+    assert max_safe_history(1000.0, 7.0) is None
+    assert required_tail_factor(DEFAULT_HISTORY_CEILING, 7.0) < 1000.0  # no breach up to it
 
 
 def test_max_safe_history_zero_when_floor_breaches():
@@ -77,16 +77,17 @@ def test_max_safe_history_rejects_bad_inputs():
         max_safe_history(5.0, 0.9)
 
 
-def _bisection_reference(tail, kappa, ceiling):
-    """Integer bisection on a(n, kappa) between the floor and the ceiling."""
-    lo = feasible_floor(kappa)
-    if lo > ceiling:
-        return "infeasible"
+def _bisection_reference(tail, kappa):
+    """max_safe_history by integer bisection on a(n, kappa) between the floor
+    and the ceiling: the reference it must match bit for bit, errors included."""
+    check_real(tail, "tail factor", above=0.0)
+    lo, hi = feasible_floor(kappa), DEFAULT_HISTORY_CEILING
+    if lo > hi:
+        raise DomainError(f"no feasible history length at or below the ceiling {hi}")
     if required_tail_factor(lo, kappa) > tail:
         return 0
-    if required_tail_factor(ceiling, kappa) <= tail:
+    if required_tail_factor(hi, kappa) <= tail:
         return None
-    hi = ceiling
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if required_tail_factor(mid, kappa) <= tail:
@@ -111,23 +112,17 @@ def _count_evaluations(monkeypatch) -> list[float]:
 @given(
     st.floats(min_value=0.0, max_value=3.0),
     st.floats(min_value=math.log10(1.01), max_value=3.0),
-    st.sampled_from([300, 10**7, DEFAULT_HISTORY_CEILING]),
 )
-def test_max_safe_history_bisection_property(log_tail, log_kappa, ceiling):
+def test_max_safe_history_bisection_property(log_tail, log_kappa):
     tail, kappa = 10.0**log_tail, 10.0**log_kappa
-    want = _bisection_reference(tail, kappa, ceiling)
-    if want == "infeasible":
-        with pytest.raises(DomainError):
-            max_safe_history(tail, kappa, ceiling=ceiling)
-        return
-
+    want = _bisection_reference(tail, kappa)
     with pytest.MonkeyPatch.context() as m:
         solves = _count_evaluations(m)
-        n = max_safe_history(tail, kappa, ceiling=ceiling)
+        n = max_safe_history(tail, kappa)
     assert n == want
     assert solves  # the count below sees every evaluation of a(n)
     if n is None:
-        assert required_tail_factor(ceiling, kappa) <= tail
+        assert required_tail_factor(DEFAULT_HISTORY_CEILING, kappa) <= tail
     elif n == 0:
         assert required_tail_factor(feasible_floor(kappa), kappa) > tail
     else:
@@ -137,11 +132,12 @@ def test_max_safe_history_bisection_property(log_tail, log_kappa, ceiling):
 
 
 @pytest.mark.parametrize(
-    "tail, kappa, ceiling",
+    "tail, kappa, history",
     [
         # a tail factor of at most 1 breaches every a(n); at 1 the cubic's P
         # is 0, at 1 + 2**-52 and kappa 1e300 it underflows to 0, and at
-        # 1e-300 and kappa 1e200 so does the Newton slope
+        # 1e-300 and kappa 1e200 so does the Newton slope.  The last three
+        # kappas have floors, and histories, past the ceiling
         (1.0, 7.0, DEFAULT_HISTORY_CEILING),
         (0.5, 7.0, DEFAULT_HISTORY_CEILING),
         (1e-300, 7.0, DEFAULT_HISTORY_CEILING),
@@ -152,7 +148,7 @@ def test_max_safe_history_bisection_property(log_tail, log_kappa, ceiling):
         (1e200, 7.0, DEFAULT_HISTORY_CEILING),
         (1.7e308, 7.0, DEFAULT_HISTORY_CEILING),
         (1e150, 7.0, 300),
-        # the ceiling at the feasibility floor, 9 for kappa = 7
+        # histories at and below the feasibility floor, 9 for kappa = 7
         (2.0, 7.0, 9),
         (5.0, 7.0, 9),
         (5.0, 7.0, 8),
@@ -169,42 +165,28 @@ def test_max_safe_history_bisection_property(log_tail, log_kappa, ceiling):
     ],
     ids=lambda v: f"{v:.6g}",
 )
-def test_max_safe_history_edge_inputs_match_bisection(tail, kappa, ceiling):
+def test_max_safe_history_edge_inputs_match_bisection(tail, kappa, history):
     def outcome(search):
         try:
-            return search(tail, kappa, ceiling)
+            return search(tail, kappa)
         except DomainError as e:
             return type(e), str(e)
 
-    want = outcome(_bisection_reference)
-    if want == "infeasible":
-        want = (DomainError, f"no feasible history length at or below the ceiling {ceiling}")
-    got = outcome(lambda t, k, c: max_safe_history(t, k, ceiling=c))
-    assert got == want
+    got = outcome(max_safe_history)
+    assert got == outcome(_bisection_reference)
     if tail <= 1.0:
         assert got == 0 or got[0] is DomainError
     if tail > 1e150:
         assert got is None
-
-
-def _search_max_safe_history(tail_factor, kappa, ceiling):
-    """max_safe_history as it was before it decided at the crossing, a search
-    alone: the reference the decision must match bit for bit, errors included."""
-    check_real(tail_factor, "tail factor", above=0.0)
-    check_int(ceiling, "history ceiling", at_least=5)
-    lo = feasible_floor(kappa)
-    if lo > ceiling:
-        raise DomainError(f"no feasible history length at or below the ceiling {ceiling}")
-
-    def breached(n):
-        return n >= ceiling or required_tail_factor(n, kappa) > tail_factor
-
-    crossing = validator._crossing(tail_factor, kappa)
-    guess = math.floor(crossing) + 1 if math.isfinite(crossing) else ceiling
-    first = validator._first_true(breached, lo, min(max(guess, lo), ceiling))
-    if first == ceiling and required_tail_factor(ceiling, kappa) <= tail_factor:
-        return None
-    return 0 if first == lo else first - 1
+    # validated at a history next to the edge, the verdict reports the same
+    # length, or the history is past the ceiling or infeasible for kappa
+    try:
+        v = validate_model(tail, history, kappa)
+    except DomainError:
+        assert history > DEFAULT_HISTORY_CEILING or kappa not in feasible_kurtosis_range(history)
+    else:
+        assert v.max_safe_history == got
+        assert v.passed == (got is None or got >= history)
 
 
 def _ulps(x, k):
@@ -215,18 +197,16 @@ def _ulps(x, k):
 
 @st.composite
 def _history_questions(draw):
-    """(tail factor, kappa, ceiling) around the decision at the crossing: tail
-    factors within ulps of a(n), kappas at both ends of the range and at each
-    edge of its guard, and ceilings next to n."""
+    """(tail factor, kappa) around the decision at the crossing: tail factors
+    within ulps of a(n), and kappas at both ends of the range and at each edge
+    of its guard."""
     kind = draw(st.sampled_from(["at-a", "random", "hostile"]))
     if kind == "hostile":
         return (draw(st.sampled_from([0.0, -1.0, math.nan, math.inf, 5e-324, 1.7e308, 3.0])),
                 draw(st.sampled_from([1.0, 0.5, math.nan, math.inf, 1.7e308, 1.0 + 2**-52,
-                                      7.0])),
-                draw(st.sampled_from([4, 5, True, 2.5, 10**400, 2**63, 10**6])))
+                                      7.0])))
     if kind == "random":
-        return (10.0 ** draw(st.floats(-1.0, 6.0)), 1.0 + 10.0 ** draw(st.floats(-16.0, 3.0)),
-                draw(st.sampled_from([5, 300, 10**7, DEFAULT_HISTORY_CEILING, 2**60])))
+        return 10.0 ** draw(st.floats(-1.0, 6.0)), 1.0 + 10.0 ** draw(st.floats(-16.0, 3.0))
     n = draw(st.one_of(st.integers(5, 10**4), st.integers(10**4, 10**15),
                        st.integers(2**53 - 3, 2**53 + 3)))
     k_min, k_max = feasible_kurtosis_range(n)[1:]
@@ -236,10 +216,7 @@ def _history_questions(draw):
         float(n - 3), 1.0 + 2.0 / (n - 1),  # the guard's two edges at n
     ])), draw(st.integers(-2, 2)))
     assume(kappa in feasible_kurtosis_range(n))
-    tail = _ulps(required_tail_factor(n, kappa), draw(st.integers(-2, 2)))
-    ceiling = max(5, n + draw(st.integers(-1, 2))) if draw(st.booleans()) else (
-        DEFAULT_HISTORY_CEILING if n < DEFAULT_HISTORY_CEILING else 2**60)
-    return tail, kappa, ceiling
+    return _ulps(required_tail_factor(n, kappa), draw(st.integers(-2, 2))), kappa
 
 
 @settings(max_examples=1500)
@@ -251,7 +228,7 @@ def test_max_safe_history_matches_the_search_bit_for_bit(question):
         except DomainError as e:
             return type(e), str(e)
 
-    assert outcome(max_safe_history) == outcome(_search_max_safe_history)
+    assert outcome(max_safe_history) == outcome(_bisection_reference)
 
 
 @pytest.mark.parametrize("kappa", goldens.KAPPAS)
@@ -264,7 +241,7 @@ def test_max_safe_history_decides_typical_inputs_at_the_crossing(kappa):
         m.setattr(validator, "feasible_floor", lambda k: floors.append(k) or feasible_floor(k))
         n = max_safe_history(tail, kappa)
     assert floors == [] and len(evaluations) == 2
-    assert n == _search_max_safe_history(tail, kappa, DEFAULT_HISTORY_CEILING)
+    assert n == _bisection_reference(tail, kappa)
 
 
 def test_max_safe_history_rejects_non_finite_tail_factor():
@@ -323,6 +300,18 @@ def test_validate_model_propagates_infeasibility():
         validate_model(-1.0, 250, 7.0)
 
 
+def test_validate_model_rejects_a_history_past_the_ceiling():
+    # a(n, 7) passes 500 near n = 1e10: a FAIL there would read "unbounded"
+    with pytest.raises(DomainError, match="history length above 1000000000 is not supported"):
+        validate_model(500.0, 10**12, 7.0)
+    with pytest.raises(DomainError, match="above 1000000000"):
+        validate_blr("6m", 7.0, DEFAULT_HISTORY_CEILING + 1)
+    with pytest.raises(DomainError, match="above 1000000000"):
+        validate_model(500.0, 1e12, 7.0)
+    v = validate_model(500.0, DEFAULT_HISTORY_CEILING, 7.0)
+    assert v.passed and v.max_safe_history is None
+
+
 def test_validate_model_rejects_a_fractional_history():
     # the verdict reports int(history_n), so a(500.5) would be passed off
     # as the bound at 500
@@ -358,7 +347,7 @@ def test_verdict_sign_convention(n, kappa, offset):
 
 @settings(max_examples=500)
 @given(
-    st.floats(min_value=math.log10(5.0), max_value=6.0),
+    st.floats(min_value=math.log10(5.0), max_value=9.0),
     st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
     st.sampled_from([-1, 0, 1]),
 )
