@@ -334,8 +334,6 @@ def read_return_csv(path: str) -> list[float]:
     """
     import csv  # only empirical pays for loading it
 
-    values: list[float] = []
-    append, isfinite = values.append, math.isfinite
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if fh.seekable():  # a pipe cannot seek back for the record loop
             try:
@@ -346,23 +344,12 @@ def read_return_csv(path: str) -> list[float]:
                 return fast
             fh.seek(0)
         reader = csv.reader(fh)
+        values: list[float] = []
         first_record_seen = False
         try:
             # messages give reader.line_num, the record's last physical line,
             # since a quoted field can span lines
             for fields in reader:
-                if 0 < len(fields) < 3:
-                    # float() skips only whitespace that strip() also removes,
-                    # so a value it parses is what the full checks below parse
-                    try:
-                        value = float(fields[-1])
-                    except ValueError:
-                        pass
-                    else:
-                        if isfinite(value):
-                            append(value)
-                            first_record_seen = True
-                            continue
                 if not fields or all(not f.strip() for f in fields):
                     continue
                 fields = [f.strip() for f in fields]

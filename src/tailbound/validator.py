@@ -116,10 +116,10 @@ def max_safe_history(tail_factor: float, kappa: float) -> int | None:
     return _max_safe_history(tail_factor, kappa)
 
 
-def _a(nf: float, kappa: float) -> float:
-    """a(n, kappa) at a float n, for a kappa strictly inside the feasible range
-    at n: the value _required gives there, bit for bit."""
-    _, r, s = _quadratic(nf, kappa)
+def _a(n: int, kappa: float) -> float:
+    """a(n, kappa) for a kappa strictly inside the feasible range at n: the
+    value _required gives there, bit for bit."""
+    _, r, s = _quadratic(float(n), kappa)
     return math.sqrt(r + s)
 
 
@@ -128,32 +128,32 @@ def _max_safe_history(tail_factor: float, kappa: float) -> int | None:
     top = DEFAULT_HISTORY_CEILING
     crossing = _crossing(tail_factor, kappa)  # nan or inf once tail_factor**2 overflows
     n = min(math.floor(crossing), top) if math.isfinite(crossing) else top
-    # n is the answer if a(n) <= tail_factor < a(n + 1) at a feasible n < top.
-    # With n <= 10**9, n - 1, n and n + 1 are exact, and:
+    # The guard picks the evaluator.  With n <= 10**9, every size from n - 1
+    # up is exact, and:
     # - fl(n - 1) > fl(kappa + 2) gives kappa < n - 3 exactly, and n - 2 is
     #   a float below kappa_max(n) = n - 2 + 1/(n - 1), so kappa is below the
-    #   rounded kappa_max(n): no Samuelson endpoint at n or n + 1;
+    #   rounded kappa_max(n): no Samuelson endpoint at n;
     # - fl((n - 1)*(kappa - 1)) > 2 gives kappa > 2 or, with kappa - 1 exact,
     #   kappa - 1 > 2/(n - 1) > 1/(n - 1) + 2**-53, the most by which the
     #   rounded kappa_min(n) = 1 + 1/(n - 1) can exceed the exact one.
-    # kappa_min falls and kappa_max rises with n, so kappa lies strictly
-    # inside the rounded range at n and n + 1, n > 4 is at or above the
-    # floor, and _a is _required at both.
-    nf = float(n)
-    if (nf - 1.0 > kappa + 2.0 and (nf - 1.0) * (kappa - 1.0) > 2.0 and n < top - 1
-            and _a(nf, kappa) <= tail_factor < _a(nf + 1.0, kappa)):
-        return n
-
-    lo = feasible_floor(kappa)
-    if lo > top:
-        raise DomainError(f"no feasible history length at or below the ceiling {top}")
-    n = min(max(n + 1, lo), top)  # the first breach, if the crossing is right
-    if _required(n, kappa) <= tail_factor:  # step up to the first breach
+    # Both conditions hold at every larger size too, so kappa lies strictly
+    # inside the rounded range from n up to the ceiling, n > 4 is at or above
+    # the floor, and _a is _required there.  Below n, only _required is sure.
+    lo = 0  # the feasibility floor, once the walk needs it
+    if n - 1 > kappa + 2.0 and (n - 1) * (kappa - 1.0) > 2.0:
+        a = _a
+    else:
+        lo = feasible_floor(kappa)
+        if lo > top:
+            raise DomainError(f"no feasible history length at or below the ceiling {top}")
+        a, n = _required, max(n, lo)
+    if a(n, kappa) <= tail_factor:  # step up to the first breach
         while n < top:
             n += 1
-            if _required(n, kappa) > tail_factor:
+            if a(n, kappa) > tail_factor:
                 return n - 1
         return None
+    lo = lo or feasible_floor(kappa)  # at most n where the guard held
     while n > lo:  # step down to the last safe length
         n -= 1
         if _required(n, kappa) <= tail_factor:

@@ -228,7 +228,11 @@ def test_max_safe_history_matches_the_search_bit_for_bit(question):
         except DomainError as e:
             return type(e), str(e)
 
-    assert outcome(max_safe_history) == outcome(_bisection_reference)
+    with pytest.MonkeyPatch.context() as m:
+        evaluations = _count_evaluations(m)
+        got = outcome(max_safe_history)
+    assert got == outcome(_bisection_reference)
+    assert len(set(evaluations)) == len(evaluations)  # no size evaluated twice
 
 
 @pytest.mark.parametrize("kappa", goldens.KAPPAS)
