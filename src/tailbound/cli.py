@@ -18,6 +18,10 @@ Each subcommand accepts --format {csv,json,markdown}, --output FILE and
 --precision K (decimal places, default 3).  The JSON layout is described by
 docs/output_schema.json.
 
+main builds the parser of the subcommand that its first argument names, and
+all six only for -h, no subcommand or an unknown one; help and usage errors
+read as the full parser's (build_parser) byte for byte.
+
 CSV input for `empirical`: UTF-8; an optional header line (detected by a
 non-numeric last field, the value); then one observation per line, either
 `value` or `date,value`; plain decimal-point numbers; blank lines are
@@ -96,39 +100,33 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="decimal places for rendered numbers, 0..17 (default: 3)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tailbound",
-                     description="Kurtosis-constrained extreme-deviation bounds "
-                                 "and shock-model validation.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("shock-table", help="extreme-deviation grid a(n, kappa)")
+def _shock_table_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_int, nargs="+", default=SHOCK_TABLE_N,
                    help="history lengths (rows)")
     p.add_argument("--kurtosis", type=float, nargs="+", default=DEFAULT_KAPPAS,
                    help="kurtosis values (columns)")
     p.set_defaults(build=build_shock_table)
-    _add_output_flags(p)
 
-    p = sub.add_parser("bounds", help="moment-bound grid")
+
+def _bounds_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", required=True,
                    choices=["even-moment", "zelen", "bhattacharyya"])
     p.add_argument("--n", type=_int, nargs="+", default=None,
                    help="sample sizes (rows; default depends on method)")
     p.add_argument("--kurtosis", type=float, nargs="+", default=DEFAULT_KAPPAS)
     p.set_defaults(build=build_bounds_table)
-    _add_output_flags(p)
 
-    p = sub.add_parser("tail-factor", help="once-in-n model quantile")
+
+def _tail_factor_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, choices=["normal", "student-t"])
     p.add_argument("--dof", type=_int, default=None,
                    help="degrees of freedom (student-t only)")
     p.add_argument("--horizon", type=float, required=True, metavar="N",
                    help="exceedance horizon n; quantile level is 1 - 1/n")
     p.set_defaults(build=build_tail_factor)
-    _add_output_flags(p)
 
-    p = sub.add_parser("validate", help="check a tail factor against the bound")
+
+def _validate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tail-factor", type=float, default=None,
                    help="quoted tail factor in sigmas")
     p.add_argument("--blr", action="store_true",
@@ -140,22 +138,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days-per-year", type=_positive_int, default=250,
                    help="business days per year (reporting only; default 250)")
     p.set_defaults(build=build_validate)
-    _add_output_flags(p)
 
-    p = sub.add_parser("empirical", help="check a tail factor against observed data")
+
+def _empirical_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="CSV of observations: `value` or `date,value` lines")
     p.add_argument("--tail-factor", type=float, required=True)
     p.set_defaults(build=build_empirical)
-    _add_output_flags(p)
 
-    p = sub.add_parser("appendix", help="base-shape comparison table")
+
+def _appendix_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_int, nargs="+", default=APPENDIX_M,
                    help="base sizes m (each search uses m + 1 points)")
     p.add_argument("--kappa", type=float, default=16.0,
                    help="target kurtosis (default 16)")
     p.set_defaults(build=build_appendix)
-    _add_output_flags(p)
 
+
+#: each subcommand's help line and the function that adds its arguments, in
+#: the order help lists them; the functions look their builder up when
+#: called, so a builder replaced on the module is the one that runs
+_COMMANDS = {
+    "shock-table": ("extreme-deviation grid a(n, kappa)", _shock_table_args),
+    "bounds": ("moment-bound grid", _bounds_args),
+    "tail-factor": ("once-in-n model quantile", _tail_factor_args),
+    "validate": ("check a tail factor against the bound", _validate_args),
+    "empirical": ("check a tail factor against observed data", _empirical_args),
+    "appendix": ("base-shape comparison table", _appendix_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all six subcommands."""
+    return _parser(None)
+
+
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.  With one
+    subcommand its usage line still names all six, as the full parser's
+    does, so its help and errors read the same byte for byte."""
+    parser = _Parser(prog="tailbound",
+                     description="Kurtosis-constrained extreme-deviation bounds "
+                                 "and shock-model validation.")
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name, (help_text, add_args) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            _add_output_flags(p)
     return parser
 
 
@@ -376,9 +407,10 @@ def _read_blocks(fh) -> list[float] | None:
     """The values of a regular file, or None for any other.
 
     A regular file has no quote, no CR but in a CRLF line end, and no blank
-    line; in each block every line is `value` or every line is `date,value`,
-    and every value is finite.  The CR of a CRLF is whitespace to float() and
-    strip(), as the record loop's csv module drops it.
+    line but in the whitespace that ends its last block; in each block every
+    line is `value` or every line is `date,value`, and every value is finite.
+    The CR of a CRLF is whitespace to float() and strip(), as the record
+    loop's csv module drops it.
     A block is about 64 KiB of whole lines, irregular if longer than the
     csv field limit.  It is split by str methods and converted by map, so
     no Python code runs per row.
@@ -393,6 +425,13 @@ def _read_blocks(fh) -> list[float] | None:
         if ('"' in text or "\r" in text and text.count("\r") != text.count("\r\n")
                 or len(text) > limit):
             return None
+        body = text.rstrip()
+        if "\n" in text[len(body):-1]:  # blank lines after the last value
+            if fh.read(1):  # and more of the file after them
+                return None
+            if not body:
+                break
+            text = body  # blank lines at the end, as the record loop skips them
         lines = text.removesuffix("\n").split("\n")
         if header:
             header = False
@@ -431,7 +470,8 @@ def _emit(doc: OutputDocument, args) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         doc, code = args.build(args)
         _emit(doc, args)

@@ -77,10 +77,10 @@ def _check_points(size: int, what: str) -> None:
         raise DomainError(f"{what} {size} is above the cap of {_MAX_POINTS}")
 
 
-def _floats(data: Iterable[float], name: str) -> list[float]:
-    """data as a list of floats; an int that no float holds is a DomainError."""
+def _floats(data: Iterable[float], name: str) -> tuple[float, ...]:
+    """data as a tuple of floats; an int that no float holds is a DomainError."""
     try:
-        return list(map(float, data))
+        return tuple(map(float, data))
     except OverflowError:
         raise DomainError(
             f"{name} must be finite numbers, got an int past the float range") from None
@@ -331,11 +331,21 @@ def oracle_moments(data: Iterable[float]) -> Moments:
             fit a normal float in data units.
         DegenerateDataError: zero variance (skewness/kurtosis undefined).
     """
-    values = _floats(data, "data")
-    if not values:
-        raise DomainError("cannot compute moments of an empty dataset")
+    mean, variance, skewness, kurtosis, _, _ = _moments(_floats(data, "data"), odd=True)
+    return Moments(mean, variance, skewness, kurtosis)
+
+
+def _moments(values: Sequence[float], odd: bool = False
+             ) -> tuple[float, float, float | None, float, float, float]:
+    """(mean, variance, skewness, kurtosis, min, max) of a sequence of floats,
+    as :func:`oracle_moments` computes them, in one pass over its centred
+    squares.  The odd sum for skewness is formed only when odd is true;
+    skewness is None otherwise."""
     n = len(values)
-    top = max(max(values), -min(values))
+    if not n:
+        raise DomainError("cannot compute moments of an empty dataset")
+    lo, hi = min(values), max(values)
+    top = max(hi, -lo)
     if not top < math.inf:
         raise DomainError(f"data must be finite numbers, got {top!r}")
     # 2**-e brings max |x| into [0.5, 1); below 2**-1024 the variance cannot
@@ -345,13 +355,17 @@ def oracle_moments(data: Iterable[float]) -> Moments:
     mean = math.fsum(map(mul, values, repeat(scale))) / n
     if mean != mean:  # a nan that max and min stepped over
         raise DomainError("data must be finite numbers, got nan")
-    s2, s3, s4 = _central_sums(map(mul, values, repeat(scale)), mean)
-    variance = s2 / n
+    dev = map(sub, map(mul, values, repeat(scale)), repeat(mean))
+    if odd:
+        dev = list(dev)
+        sq = list(map(mul, dev, dev))
+    else:  # the squares alone, without a list of the deviations
+        sq = [d * d for d in dev]
+    variance = math.fsum(sq) / n
     if variance <= 0.0:
         raise DegenerateDataError("zero variance: higher moments are undefined")
-    sd = math.sqrt(variance)
-    skewness = s3 / n / sd**3
-    kurtosis = s4 / n / variance**2
+    skewness = math.fsum(map(mul, sq, dev)) / n / math.sqrt(variance)**3 if odd else None
+    kurtosis = math.fsum(map(mul, sq, sq)) / n / variance**2
     # variance * 4**e lies in [2**(exponent - 1), 2**exponent)
     exponent = math.frexp(variance)[1] + 2 * e
     if not sys.float_info.min_exp <= exponent <= sys.float_info.max_exp:
@@ -359,9 +373,4 @@ def oracle_moments(data: Iterable[float]) -> Moments:
             f"the variance of the data, about 2**{exponent}, does not fit a "
             "normal float; rescale the data"
         )
-    return Moments(
-        mean=math.ldexp(mean, e),
-        variance=math.ldexp(variance, 2 * e),
-        skewness=skewness,
-        kurtosis=kurtosis,
-    )
+    return math.ldexp(mean, e), math.ldexp(variance, 2 * e), skewness, kurtosis, lo, hi

@@ -20,10 +20,10 @@ from .errors import DegenerateDataError, DomainError, check_real
 from .extreme_point import (
     _floats,
     _kappa_bounds,
+    _moments,
     _quadratic,
     _solve,
     feasible_floor,
-    oracle_moments,
     samuelson_bound,
 )
 
@@ -215,21 +215,21 @@ class ReturnSeries(NamedTuple):
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "ReturnSeries":
-        vals = tuple(_floats(values, "data"))
+        vals = _floats(values, "data")
         if len(vals) < 5:
             raise DegenerateDataError(
                 f"too few observations: need at least 5, got {len(vals)}"
             )
-        m = oracle_moments(vals)  # raises DegenerateDataError on zero spread
-        sigma = math.sqrt(m.variance)
+        mean, variance, _, kurtosis, lo, hi = _moments(vals)  # raises on zero spread
+        sigma = math.sqrt(variance)
         # rounding is monotone, so this is max |x - mean| to the bit
-        worst = max(max(vals) - m.mean, m.mean - min(vals)) / sigma
+        worst = max(hi - mean, mean - lo) / sigma
         return cls(
             values=vals,
             n=len(vals),
-            mean=m.mean,
+            mean=mean,
             sigma=sigma,
-            kurtosis=m.kurtosis,
+            kurtosis=kurtosis,
             max_abs_deviation_in_sigmas=worst,
         )
 

@@ -595,6 +595,32 @@ def test_reader_falls_back_after_the_first_block(tmp_path, dated, irregular):
         assert repr(got) == repr(_read_outcome(_reference_read_return_csv, str(path)))
 
 
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("dated", [False, True], ids=["value", "date-value"])
+@pytest.mark.parametrize("tail", ["\n", " \t\n\n", "\n   ", "\u3000\n\x1c\n"],
+                         ids=["blank", "whitespace", "no-final-newline", "unicode-space"])
+def test_blank_lines_at_the_end_stay_on_blocks(tmp_path, monkeypatch, tail, dated, crlf):
+    # the last of several 64 KiB blocks ends in whitespace-only lines, which
+    # the record loop skips; the block reader skips them too, so the file
+    # is read once
+    rng = random.Random(20191)
+    rows = [f"{rng.gauss(0.0, 0.01)!r}" for _ in range(8000)]
+    if dated:
+        rows = [f"2024-01-{i % 28 + 1:02d},{v}" for i, v in enumerate(rows)]
+    text = ("date,value\n" if dated else "value\n") + "\n".join(rows) + "\n" + tail
+    path = tmp_path / "blank-end.csv"
+    path.write_text(text.replace("\n", "\r\n") if crlf else text,
+                    encoding="utf-8", newline="")
+    expected = _reference_read_return_csv(str(path))
+    assert len(expected) == 8000
+
+    def record_loop(*args, **kwargs):
+        raise AssertionError("the record loop read the file")
+
+    monkeypatch.setattr(csv, "reader", record_loop)
+    assert cli.read_return_csv(str(path)) == expected
+
+
 @pytest.mark.parametrize("text, took_blocks", [
     ("\x1c1.5\n2.5\n", False),  # float() keeps \x1c, strip() removes it
     ("2.5\n\x1c1.5\n", False),
@@ -607,13 +633,13 @@ def test_reader_falls_back_after_the_first_block(tmp_path, dated, irregular):
     ("\n1.5\n2.5\n", True),  # a blank first line holds no value
     ("", True),
     ("value", True),
-    ("value\n1.5\n\n", False),  # a blank last line
+    ("value\n1.5\n\n", True),  # a blank last line
     # a quoted date spans three lines, each with one comma and a float after it
     ('"x,1\n2024-01-01,1.5\ny",2.5\n', False),
     ("2024-01-01,1.5\na\r,2.5\n", False),  # the CR ends a record whose one field is "a"
     ("date,value\r\n2024-01-01,1.5\r\n2024-01-02,2.5\r\n", True),
     ("value\r\n1.5\n2.5\r\n", True),  # CRLF and LF mixed
-    ("value\r\n1.5\r\n\r\n", False),  # a blank CRLF line
+    ("value\r\n1.5\r\n\r\n", True),  # a blank CRLF line at the end
     ("value\r\n1.5\r\n2.5\r", False),  # a bare CR ends the file
     ("\x1c1.5\r\n2.5\r\n", False),
 ], ids=["x1c-first", "x1c-later", "no-final-newline", "no-final-newline-dated",
@@ -815,6 +841,46 @@ def test_every_subcommand_sets_its_builder():
                                           "shock-table", "tail-factor", "validate"]
     for name, parser in subparsers.choices.items():
         assert callable(parser.get_default("build")), name
+
+
+SUBCOMMANDS = ["shock-table", "bounds", "tail-factor", "validate", "empirical", "appendix"]
+
+
+def _main_outcome(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # help, and usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nope"]] + [
+    [name, *rest] for name in SUBCOMMANDS for rest in (["-h"], [], ["--bogus"])
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    got = _main_outcome(argv, capsys)
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", lambda command: full)
+    assert got == _main_outcome(argv, capsys)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["tail-factor", "--model", "normal", "--horizon", "1000"], ["tail-factor"]),
+    (["-h"], [None]),
+    (["nope"], [None]),
+    ([], [None]),
+    (["--", "bounds"], [None]),
+], ids=["named", "help", "unknown", "no-arguments", "after-double-dash"])
+def test_main_builds_only_the_named_subparser(argv, built, capsys, monkeypatch):
+    calls = []
+    parser = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda command: calls.append(command) or parser(command))
+    _main_outcome(argv, capsys)
+    assert calls == built
+    (subparsers,) = [a for a in parser("empirical")._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == ["empirical"]
 
 
 @pytest.mark.parametrize("argv, code", [

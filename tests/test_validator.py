@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -416,6 +417,78 @@ def test_return_series_worst_deviation_is_max_abs(data):
         assume(False)
     # rounding is monotone, so the extremes give max |x - mean| to the bit
     assert s.max_abs_deviation_in_sigmas == max(abs(x - s.mean) for x in data) / s.sigma
+
+
+def _reference_from_values(values):
+    """ReturnSeries.from_values before its one-pass kernel: a tuple copy of
+    the data, then the moments as oracle_moments summed them, copied here
+    (less the skewness, which a ReturnSeries does not keep)."""
+    try:
+        vals = tuple(map(float, values))
+    except OverflowError:
+        raise DomainError(
+            "data must be finite numbers, got an int past the float range") from None
+    if len(vals) < 5:
+        raise DegenerateDataError(f"too few observations: need at least 5, got {len(vals)}")
+    n = len(vals)
+    top = max(max(vals), -min(vals))
+    if not top < math.inf:
+        raise DomainError(f"data must be finite numbers, got {top!r}")
+    e = max(math.frexp(top)[1], -1023)
+    scale = math.ldexp(1.0, -e)
+    mean = math.fsum(v * scale for v in vals) / n
+    if mean != mean:
+        raise DomainError("data must be finite numbers, got nan")
+    sq = [(v * scale - mean) * (v * scale - mean) for v in vals]
+    variance = math.fsum(sq) / n
+    if variance <= 0.0:
+        raise DegenerateDataError("zero variance: higher moments are undefined")
+    kurtosis = math.fsum(q * q for q in sq) / n / variance**2
+    exponent = math.frexp(variance)[1] + 2 * e
+    if not sys.float_info.min_exp <= exponent <= sys.float_info.max_exp:
+        raise DomainError(
+            f"the variance of the data, about 2**{exponent}, does not fit a "
+            "normal float; rescale the data"
+        )
+    mean, variance = math.ldexp(mean, e), math.ldexp(variance, 2 * e)
+    sigma = math.sqrt(variance)
+    worst = max(max(vals) - mean, mean - min(vals)) / sigma
+    return ReturnSeries(vals, n, mean, sigma, kurtosis, worst)
+
+
+def _series_outcome(build, values):
+    try:
+        series = build(values)
+    except (DomainError, DegenerateDataError) as exc:
+        return type(exc).__name__, str(exc)
+    assert type(series.values) is tuple
+    return repr(series)  # repr tells every float apart, -0.0 from 0.0 too
+
+
+_SERIES_DATA = st.one_of(
+    # any magnitude: moderate data scaled by 2**k, into the subnormals too
+    st.builds(lambda xs, k: [math.ldexp(x, k) for x in xs],
+              st.lists(st.floats(-1e6, 1e6), max_size=40), st.integers(-1100, 1000)),
+    # two levels, whose kurtosis lies below kappa_min for most splits
+    st.builds(lambda a, b, k, m: [a] * k + [b] * m,
+              st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(0, 30),
+              st.integers(0, 30)),
+    # any float, non-finite ones too
+    st.lists(st.floats(), max_size=12),
+    # ints, and ints past the float range
+    st.lists(st.one_of(st.floats(-1e3, 1e3), st.integers(-10**6, 10**6),
+                       st.sampled_from([10**400, -10**400, 2**1024])), max_size=12),
+)
+
+
+@settings(max_examples=400)
+@given(_SERIES_DATA)
+def test_from_values_matches_the_reference_bit_for_bit(data):
+    assert _series_outcome(ReturnSeries.from_values, data) == _series_outcome(
+        _reference_from_values, data)
+    # any iterable, read once
+    assert _series_outcome(ReturnSeries.from_values, iter(data)) == _series_outcome(
+        _reference_from_values, data)
 
 
 def test_return_series_rejects_degenerate_input():
