@@ -30,10 +30,11 @@ steps from Fujiwara's root bound return the largest root, since kurtosis
 need not rise from the base's maximum: for [0, 0, 0.5, -1] it falls from
 2.5 at 0.5 to about 2.22 at 1, so a target of 2.4 is met near 1.9.  A
 direct compensated pass over the final dataset gives the reported figures
-and checks the kurtosis against KAPPA_TOL.  Both passes take the base as
-ascending (value, count) levels and form each weighted sum as one exact
-integer, equal to the sum over the expanded list bit for bit and O(1) in m
-for the three level shapes.
+and checks the kurtosis against KAPPA_TOL.  Both passes take their centred
+sums from extreme_point._central_sums, the kernel the empirical moments use
+too, on the base as ascending (value, count) levels: each weighted sum is
+one exact integer, equal to the sum over the expanded list bit for bit and
+O(1) in m for the three level shapes.
 The uniform grid costs O(m), about 1 us and 115 bytes per point, so a
 uniform base above UNIFORM_MAX_M points is rejected before it is built.
 """
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 from itertools import chain, repeat
-from operator import mul, sub
 from typing import NamedTuple, Sequence
 
 from . import _EXPORTS
@@ -233,10 +233,9 @@ def _search(values, counts, target_kappa) -> OutlierSearchResult:
     # report from a direct pass over the final dataset, not from f
     counts = None if counts is None else counts + [1]
     mu = _wsum(chain(values, (x,)), counts) / n
-    dev = list(map(sub, chain(values, (x,)), repeat(mu)))
-    sq = list(map(mul, dev, dev))
-    variance = _wsum(sq, counts) / n
-    kappa = _wsum(map(mul, sq, sq), counts) / n / (variance * variance)
+    t2, _, t4 = _central_sums(chain(values, (x,)), mu, counts, odd=False)
+    variance = t2 / n
+    kappa = t4 / n / (variance * variance)
     tol = KAPPA_TOL * max(1.0, target_kappa / 1000.0)
     missed = not abs(kappa - target_kappa) <= tol
     if not f_start < 0.0 and (missed or not x > values[-1]):

@@ -386,7 +386,10 @@ def blr_h_from_kurtosis(kappa: float, g: float) -> float:
     check_real(kappa, "kurtosis kappa", at_least=3.0)
     check_real(g, "mean-reversion rate g", above=0.0)
     # 2 * log first, so kappa = 3 gives 0 and not inf * 0 at a g above MAX/2
-    return math.sqrt(2.0 * math.log(kappa / 3.0) * g)
+    t = 2.0 * math.log(kappa / 3.0)
+    if t * g == math.inf:  # the root itself, below 1e156, is a float
+        return math.sqrt(t) * math.sqrt(g)
+    return math.sqrt(t * g)
 
 
 #: Version tag for the embedded published tail-factor table below.

@@ -307,14 +307,18 @@ def _wsum(terms: Iterable[float], counts: Sequence[int] | None) -> float:
     return total / _TWO_1074
 
 
-def _central_sums(
-    values: Iterable[float], centre: float, counts: Sequence[int] | None = None
-) -> tuple[float, float, float]:
-    """Compensated sums of (v - centre)**k over values, for k = 2, 3, 4; with
-    counts, the i-th value counted counts[i] times (see :func:`_wsum`)."""
-    dev = list(map(sub, values, repeat(centre)))
-    sq = list(map(mul, dev, dev))
-    return _wsum(sq, counts), _wsum(map(mul, sq, dev), counts), _wsum(map(mul, sq, sq), counts)
+def _central_sums(values: Iterable[float], centre: float, counts: Sequence[int] | None = None,
+                  odd: bool = True) -> tuple[float, float | None, float]:
+    """Compensated sums (s2, s3, s4) of (v - centre)**k, the i-th value counted
+    counts[i] times when counts is given (see :func:`_wsum`): the one kernel of
+    centred powers, for the outlier search's two passes and the empirical
+    moments.  Unless odd is true s3 is None and only the squares are kept."""
+    dev = map(sub, values, repeat(centre))
+    if odd:
+        dev = list(dev)
+    sq = [d * d for d in dev]
+    s3 = _wsum(map(mul, sq, dev), counts) if odd else None
+    return _wsum(sq, counts), s3, _wsum(map(mul, sq, sq), counts)
 
 
 def oracle_moments(data: Iterable[float]) -> Moments:
@@ -338,9 +342,9 @@ def oracle_moments(data: Iterable[float]) -> Moments:
 def _moments(values: Sequence[float], odd: bool = False
              ) -> tuple[float, float, float | None, float, float, float]:
     """(mean, variance, skewness, kurtosis, min, max) of a sequence of floats,
-    as :func:`oracle_moments` computes them, in one pass over its centred
-    squares.  The odd sum for skewness is formed only when odd is true;
-    skewness is None otherwise."""
+    as :func:`oracle_moments` computes them: one :func:`_central_sums` pass
+    about the mean, the outlier search's kernel.  The odd sum for skewness is
+    formed only when odd is true; skewness is None otherwise."""
     n = len(values)
     if not n:
         raise DomainError("cannot compute moments of an empty dataset")
@@ -355,17 +359,12 @@ def _moments(values: Sequence[float], odd: bool = False
     mean = math.fsum(map(mul, values, repeat(scale))) / n
     if mean != mean:  # a nan that max and min stepped over
         raise DomainError("data must be finite numbers, got nan")
-    dev = map(sub, map(mul, values, repeat(scale)), repeat(mean))
-    if odd:
-        dev = list(dev)
-        sq = list(map(mul, dev, dev))
-    else:  # the squares alone, without a list of the deviations
-        sq = [d * d for d in dev]
-    variance = math.fsum(sq) / n
+    s2, s3, s4 = _central_sums(map(mul, values, repeat(scale)), mean, odd=odd)
+    variance = s2 / n
     if variance <= 0.0:
         raise DegenerateDataError("zero variance: higher moments are undefined")
-    skewness = math.fsum(map(mul, sq, dev)) / n / math.sqrt(variance)**3 if odd else None
-    kurtosis = math.fsum(map(mul, sq, sq)) / n / variance**2
+    skewness = s3 / n / math.sqrt(variance)**3 if odd else None
+    kurtosis = s4 / n / variance**2
     # variance * 4**e lies in [2**(exponent - 1), 2**exponent)
     exponent = math.frexp(variance)[1] + 2 * e
     if not sys.float_info.min_exp <= exponent <= sys.float_info.max_exp:

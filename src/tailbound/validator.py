@@ -16,7 +16,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS, distributions
-from .errors import DegenerateDataError, DomainError, check_real
+from .errors import DegenerateDataError, DomainError, check_int, check_real
 from .extreme_point import (
     _floats,
     _kappa_bounds,
@@ -264,12 +264,21 @@ def empirical_validate(
     fallback and the verdict is flagged kurtosis_infeasible.
 
     Raises:
-        DomainError: tail factor not finite and positive, or non-finite data.
+        DomainError: tail factor not finite and positive, non-finite data,
+            or a hand-built ReturnSeries whose n is not an integer of at
+            least 5, whose kurtosis is not finite or whose maximum deviation
+            is not a finite number of at least 0.
         DegenerateDataError: fewer than 5 observations or zero variance.
     """
     if not isinstance(series, ReturnSeries):
         series = ReturnSeries.from_values(series)
     check_real(tail_factor, "tail factor", above=0.0)
+    # a ReturnSeries is a plain tuple, so its fields are checked here too:
+    # n < 5 has no kurtosis range, and a nan would pass silently below
+    check_int(series.n, "series length n", at_least=5)
+    check_real(series.kurtosis, "series kurtosis")
+    check_real(series.max_abs_deviation_in_sigmas, "series max_abs_deviation_in_sigmas",
+               at_least=0.0)
 
     k_min, k_max = _kappa_bounds(series.n)
     infeasible = not k_min < series.kurtosis <= k_max

@@ -4,6 +4,8 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from itertools import repeat
+from operator import mul, sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +30,7 @@ from tailbound import (
 )
 
 from tailbound.appendix_search import UNIFORM_MAX_M
-from tailbound.extreme_point import _wsum
+from tailbound.extreme_point import _central_sums, _wsum
 
 import goldens
 
@@ -234,6 +236,41 @@ def test_wsum_equals_fsum_over_the_repeated_list(pairs, mirror_counts):
     terms, counts = [t for t, _ in pairs], [c for _, c in pairs]
     expanded = [t for t, c in pairs for _ in range(c)]
     assert _wsum(terms, counts) == math.fsum(expanded)
+
+
+def _reference_central_sums(values, centre, counts):
+    """The outlier search's centred sums before one kernel served both its
+    passes, copied here: a list of deviations, a list of their squares, and
+    each sum through _wsum."""
+    dev = list(map(sub, values, repeat(centre)))
+    sq = list(map(mul, dev, dev))
+    return _wsum(sq, counts), _wsum(map(mul, sq, dev), counts), _wsum(map(mul, sq, sq), counts)
+
+
+# up to 1e70, so that no fourth power of a deviation leaves the float range
+_kernel_values = st.one_of(
+    st.floats(min_value=-1e70, max_value=1e70),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals among them
+)
+
+
+@settings(max_examples=300)
+@given(
+    levels=st.lists(st.tuples(_kernel_values, st.integers(min_value=0, max_value=64)),
+                    min_size=1, max_size=12),
+    centre=st.one_of(st.none(), _kernel_values),
+    weighted=st.booleans(),
+)
+def test_central_sums_without_the_odd_sum_keep_s2_and_s4_bit_for_bit(levels, centre, weighted):
+    values = [v for v, _ in levels]
+    counts = [c for _, c in levels] if weighted else None
+    if centre is None:  # the mean, as both search passes and the moments take it
+        centre = _wsum(values, counts) / max(sum(counts) if weighted else len(values), 1)
+    s2, s3, s4 = _central_sums(values, centre, counts)
+    e2, none, e4 = _central_sums(iter(values), centre, counts, odd=False)  # the report's chain
+    assert none is None
+    assert (repr(e2), repr(e4)) == (repr(s2), repr(s4))
+    assert repr((s2, s3, s4)) == repr(_reference_central_sums(values, centre, counts))
 
 
 @pytest.mark.parametrize("kind", ["bimodal", "trimodal", "two_thirds"])

@@ -370,6 +370,14 @@ def test_blr_six_month_round_trip():
     assert blr_kurtosis(h, g) == pytest.approx(16.0, rel=1e-12)
 
 
+def test_blr_h_from_kurtosis_is_finite_where_2g_ln_kappa_overflows():
+    # sqrt(2g * ln(kappa/3)) is about 3.8e155; the product under the root
+    # overflowed to inf before
+    h = blr_h_from_kurtosis(1e308, 1e308)
+    assert h == pytest.approx(math.sqrt(2.0 * math.log(1e308 / 3.0)) * 1e154, rel=1e-15)
+    assert blr_h_from_kurtosis(1e308, 1e300) == math.sqrt(2.0 * math.log(1e308 / 3.0) * 1e300)
+
+
 def test_blr_rejects_bad_arguments():
     with pytest.raises(DomainError):
         blr_kurtosis(1.0, 0.0)

@@ -520,6 +520,22 @@ def test_empirical_threshold_is_the_closed_form():
     )
 
 
+@pytest.mark.parametrize("fields, name", [
+    # no kurtosis range below 5 points: a ZeroDivisionError came back before
+    (((1.0,), 1, 0.0, 1.0, 3.0, 0.0), "series length n"),
+    (((1.0,) * 5, 5.0, 0.0, 1.0, 2.0, 0.0), "series length n"),
+    # a nan kurtosis took the Samuelson fallback and passed
+    (((1.0,) * 5, 5, 0.0, 1.0, math.nan, 0.0), "series kurtosis"),
+    (((1.0,) * 5, 5, 0.0, 1.0, math.inf, 0.0), "series kurtosis"),
+    # a nan maximum deviation hid a breach
+    (((1.0,) * 5, 5, 0.0, 1.0, 2.0, math.nan), "series max_abs_deviation_in_sigmas"),
+    (((1.0,) * 5, 5, 0.0, 1.0, 2.0, -3.0), "series max_abs_deviation_in_sigmas"),
+], ids=["n-1", "n-float", "kurtosis-nan", "kurtosis-inf", "deviation-nan", "deviation-negative"])
+def test_empirical_checks_a_hand_built_series(fields, name):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        empirical_validate(ReturnSeries(*fields), 5.0)
+
+
 def test_empirical_samuelson_fallback_for_infeasible_kurtosis():
     # a pure two-level series has kurtosis 1, below the feasible floor
     data = [-1.0, 1.0] * 13
