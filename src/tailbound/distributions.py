@@ -387,7 +387,10 @@ def blr_h_from_kurtosis(kappa: float, g: float) -> float:
     check_real(g, "mean-reversion rate g", above=0.0)
     # 2 * log first, so kappa = 3 gives 0 and not inf * 0 at a g above MAX/2
     t = 2.0 * math.log(kappa / 3.0)
-    if t * g == math.inf:  # the root itself, below 1e156, is a float
+    # the root of a product past the float range (the root itself, below
+    # 1e156, is a float) or below the normal floats, where it loses bits or
+    # underflows to 0, is taken as a product of roots
+    if not sys.float_info.min <= t * g < math.inf:
         return math.sqrt(t) * math.sqrt(g)
     return math.sqrt(t * g)
 

@@ -67,8 +67,8 @@ __all__ = list(_EXPORTS["extreme_point"])
 _TWO_1074 = 1 << 1074
 
 #: most points a list is built with (construct_distribution, generate_base, a
-#: uniform search): a uniform search at the cap took 4.8 s and 588 MB peak RSS
-#: (Python 3.11, 2-vCPU Xeon); 10**7 points did not fit in 1 GB
+#: uniform search): `tailbound appendix --n 5000000` took 1.4 s and 398 MB
+#: peak RSS (Python 3.11, 2-vCPU Xeon)
 _MAX_POINTS = 5_000_000
 
 

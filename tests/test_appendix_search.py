@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import repeat
 from operator import mul, sub
 
@@ -29,7 +30,7 @@ from tailbound import (
     solve_extreme_point,
 )
 
-from tailbound.appendix_search import UNIFORM_MAX_M
+from tailbound.appendix_search import UNIFORM_MAX_M, _levels, _uniform_sums
 from tailbound.extreme_point import _central_sums, _wsum
 
 import goldens
@@ -204,11 +205,15 @@ def _outcome(search, *args):
         return type(exc)
 
 
+_search_targets = st.one_of(st.sampled_from([2.5, 7.0, 16.0]),
+                            st.floats(min_value=1.0, max_value=40.0))
+
+
 @settings(max_examples=200)
 @given(
-    kind=st.sampled_from(SHAPES),
+    kind=st.sampled_from(["bimodal", "trimodal", "two_thirds"]),
     m=st.integers(min_value=4, max_value=3000),
-    kappa=st.one_of(st.sampled_from([2.5, 7.0, 16.0]), st.floats(min_value=1.0, max_value=40.0)),
+    kappa=_search_targets,
 )
 def test_level_search_is_bit_identical_to_the_expanded_list(kind, m, kappa):
     # the levels' sums take each count * term exactly; a rounded product
@@ -216,6 +221,41 @@ def test_level_search_is_bit_identical_to_the_expanded_list(kind, m, kappa):
     want = _outcome(search_outlier_on_points, generate_base(kind, m), kappa)
     got = _outcome(search_outlier, kind, m + 1, kappa)
     assert repr(got) == repr(want)
+
+
+@settings(max_examples=200)
+@given(
+    m=st.integers(min_value=4, max_value=3000),
+    kappa=st.one_of(_search_targets, st.floats(min_value=1.7, max_value=1.9)),
+)
+def test_uniform_search_matches_the_expanded_list_to_a_stated_bound(m, kappa):
+    # the closed-form sums are the ideal grid's, a few ulps from a pass over
+    # the float grid, and the quartic's root carries that gap.  Over 14,000
+    # seeded probes at m <= 3000 the outlier and the statistic moved by at
+    # most 1.6e-13 relative (the worst next to the starting kurtosis, where
+    # the root is least well conditioned) and the kurtosis by 1.2e-15
+    want = _outcome(search_outlier_on_points, generate_base("uniform", m), kappa)
+    got = _outcome(search_outlier, "uniform", m + 1, kappa)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert isinstance(got, type(want))
+    assert got.a_statistic == pytest.approx(want.a_statistic, rel=4e-13, abs=0.0)
+    assert got.outlier_value == pytest.approx(want.outlier_value, rel=4e-13, abs=0.0)
+    assert got.achieved_kappa == pytest.approx(want.achieved_kappa, rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [*range(4, 64), 255, 256, 257, 1001, 4096, 99999])
+def test_uniform_sums_are_the_ideal_grids_correctly_rounded(m):
+    ideal = [Fraction(2 * i - (m - 1), m - 1) for i in range(m)]
+    s2, s4 = _uniform_sums(m)
+    assert (s2, s4) == (float(sum(y * y for y in ideal)), float(sum(y**4 for y in ideal)))
+    # a pass over the float grid about its mean lands within 3 ulps of them
+    # (the most seen over m = 4 to 400, 1001, 4096 and 99999)
+    values, _ = _levels("uniform", m)
+    e2, _, e4 = _central_sums(values, _wsum(values, None) / m, odd=False)
+    assert abs(e2 - s2) <= 3 * math.ulp(s2)
+    assert abs(e4 - s4) <= 3 * math.ulp(s4)
 
 
 _summands = st.one_of(

@@ -1,5 +1,6 @@
 """Quantile machinery against scipy (independent oracle) and published values."""
 
+import decimal
 import math
 
 import pytest
@@ -376,6 +377,21 @@ def test_blr_h_from_kurtosis_is_finite_where_2g_ln_kappa_overflows():
     h = blr_h_from_kurtosis(1e308, 1e308)
     assert h == pytest.approx(math.sqrt(2.0 * math.log(1e308 / 3.0)) * 1e154, rel=1e-15)
     assert blr_h_from_kurtosis(1e308, 1e300) == math.sqrt(2.0 * math.log(1e308 / 3.0) * 1e300)
+
+
+@pytest.mark.parametrize("kappa, g", [
+    (3.0000000000000004, 5e-324), (3.0000000000000004, 1e-300), (16.0, 1e-310),
+    (16.0, 2.2e-308), (1e308, 5e-324), (3.0, 5e-324), (3.0, 1e308),
+])
+def test_blr_h_from_kurtosis_keeps_its_bits_where_2g_ln_kappa_underflows(kappa, g):
+    # the product under the root was subnormal or 0: 4.68e-170 read 0.0, and
+    # at g = 1e-300 the result was 1.4e-9 off
+    t = 2.0 * math.log(kappa / 3.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        exact = (decimal.Decimal(t) * decimal.Decimal(g)).sqrt()
+    h = blr_h_from_kurtosis(kappa, g)
+    assert abs(decimal.Decimal(h) - exact) <= 2 * decimal.Decimal(math.ulp(h))
 
 
 def test_blr_rejects_bad_arguments():
