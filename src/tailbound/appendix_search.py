@@ -169,9 +169,10 @@ def search_outlier(kind: str, n: int, target_kappa: float) -> OutlierSearchResul
     search_outlier_on_points on generate_base.  The uniform grid's base sums
     are the ideal grid's, in closed form, a few ulps from a pass over its
     float points; the outcome type is the same, and the fields agree to
-    4e-13 relative up to m = 3000 (1.2e-15 for the kurtosis).  The gap in
-    the outlier grows about linearly in m for a target near the starting
-    kurtosis, where the root is least well conditioned: 3e-12 at m = 1e5."""
+    4e-13 relative up to a base of 3000 points (1.2e-15 for the kurtosis).
+    The gap in the outlier grows about linearly in the base size for a
+    target near the starting kurtosis, where the root is least well
+    conditioned: 3e-12 at 100,000 points."""
     check_int(n, "total size", at_least=5, at_most=math.inf)  # _levels checks n - 1
     return _search(*_levels(kind, n - 1), target_kappa, kind == "uniform")
 
