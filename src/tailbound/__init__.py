@@ -73,8 +73,6 @@ _EXPORTS = {
         "ReturnSeries",
         "empirical_validate",
         "max_safe_history",
-        "required_tail_factor",
-        "validate_blr",
         "validate_model",
     ),
 }

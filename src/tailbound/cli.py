@@ -22,7 +22,8 @@ main builds the parser of the subcommand that its first argument names, and
 all six only for -h, no subcommand or an unknown one; help and usage errors
 read as the full parser's (build_parser) byte for byte.
 
-CSV input for `empirical`: UTF-8; an optional header line (detected by a
+CSV input for `empirical`: UTF-8, with or without a byte-order mark (as
+Excel's "CSV UTF-8" writes); an optional header line (detected by a
 non-numeric last field, the value); then one observation per line, either
 `value` or `date,value`; plain decimal-point numbers; blank lines are
 skipped.  A stream that cannot seek, such as a pipe, is read record by
@@ -280,7 +281,8 @@ def build_validate(args) -> tuple[OutputDocument, int]:
             raise _UsageError("--blr requires --g-inv")
         if args.tail_factor is not None:
             raise _UsageError("--tail-factor conflicts with --blr (it is looked up)")
-        v = validator.validate_blr(args.g_inv, args.kurtosis, args.history)
+        v = validator.validate_model(distributions.blr_tail_factor(args.g_inv, args.kurtosis),
+                                     args.history, args.kurtosis)
         years = args.history / args.days_per_year
         notes = [f"BLR tail factor for 1/g = {args.g_inv}, table {distributions.BLR_TABLE_VERSION}",
                  f"history of {args.history} days is {years:.1f} years at "
@@ -365,7 +367,9 @@ def read_return_csv(path: str) -> list[float]:
     """
     import csv  # only empirical pays for loading it
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops a leading byte-order mark, after seek(0) too: float()
+    # does not parse one, so a first value behind it would read as a header
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         if fh.seekable():  # a pipe cannot seek back for the record loop
             try:
                 fast = _read_blocks(fh)

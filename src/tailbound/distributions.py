@@ -7,8 +7,9 @@ exceeded once in n observations.
 
 The solvers take the upper-tail mass q itself (``normal_isf``,
 ``student_t_isf``), so a deep horizon never passes through 1 - q and keeps
-its digits up to the largest float horizon; ``*_quantile(p)`` are thin
-wrappers that hand the smaller tail of p to them.
+its digits up to the largest float horizon.  They reflect a q above 1/2
+onto the smaller tail themselves, so the inverse CDFs ``*_quantile(p)`` are
+``0.0 - *_isf(p)``: +0.0 at p = 1/2, where the plain negation gives -0.0.
 
 * normal: the rational start of Abramowitz & Stegun 26.2.23 (Handbook of
   Mathematical Functions, 1964; error below 4.5e-4) refined by three Newton
@@ -67,13 +68,6 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-_cdf_point(x) / _SQRT2)
 
 
-def _lower_tail(isf, p: float, *args) -> float:
-    """The quantile at lower-tail probability p, from an upper-tail solver
-    handed the smaller tail of p."""
-    check_real(p, "probability", above=0.0, below=1.0)
-    return -isf(p, *args) if p < 0.5 else isf(1.0 - p, *args)
-
-
 def normal_isf(q: float) -> float:
     """Standard normal deviate exceeded with probability q (upper tail).
 
@@ -108,7 +102,8 @@ def normal_quantile(p: float) -> float:
     Raises:
         DomainError: p outside the open interval (0, 1).
     """
-    return _lower_tail(normal_isf, p)
+    check_real(p, "probability", above=0.0, below=1.0)
+    return 0.0 - normal_isf(p)  # +0.0 at p = 1/2, where -normal_isf(p) is -0.0
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +278,8 @@ def student_t_quantile(p: float, dof: int) -> float:
         DomainError: p outside (0, 1), or dof not an integer in 1..10**6.
         SearchError: the solver did not converge.
     """
-    return _lower_tail(student_t_isf, p, dof)
+    check_real(p, "probability", above=0.0, below=1.0)
+    return 0.0 - student_t_isf(p, dof)  # +0.0 at p = 1/2, as in normal_quantile
 
 
 def student_t_kurtosis(dof: int, convention: str = "raw") -> float:

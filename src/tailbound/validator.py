@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from . import _EXPORTS, distributions
+from . import _EXPORTS
 from .errors import DegenerateDataError, DomainError, check_int, check_real
 from .extreme_point import (
     _floats,
@@ -52,18 +52,9 @@ class ModelVerdict(NamedTuple):
     max_safe_history: int | None
 
 
-def required_tail_factor(history_n: float, kappa: float) -> float:
-    """Largest standardised deviation an (history_n, kappa) sample admits.
-
-    Raises:
-        DomainError: history_n not a finite number of at least 5.
-        InfeasibleKurtosisError: kappa infeasible at history_n.
-    """
-    return _required(check_real(history_n, "history length", at_least=5.0), kappa)
-
-
 def _required(history_n: float, kappa: float) -> float:
-    """:func:`required_tail_factor` at a checked history length."""
+    """The a of :func:`~tailbound.extreme_point.solve_extreme_point`, bit for
+    bit, at a checked history length."""
     return math.sqrt(_solve(history_n, kappa)[2])  # item 2 is a**2
 
 
@@ -188,15 +179,6 @@ def validate_model(tail_factor: float, history_n: int, kappa: float) -> ModelVer
     # kappa is inside the range at history_n, so it is a finite number above 1
     return _verdict(tail_factor, history_n, kappa, _required(history_n, kappa),
                     _max_safe_history(tail_factor, kappa))
-
-
-def validate_blr(g_inverse_label: str, kappa: float, history_n: int) -> ModelVerdict:
-    """Validate a published BLR tail factor for the given history length.
-
-    Raises:
-        TableLookupError: unknown mean-reversion label or kurtosis column.
-    """
-    return validate_model(distributions.blr_tail_factor(g_inverse_label, kappa), history_n, kappa)
 
 
 class ReturnSeries(NamedTuple):

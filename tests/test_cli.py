@@ -483,7 +483,7 @@ def test_empirical_zero_variance(run_cli, tmp_path):
 def _reference_read_return_csv(path: str) -> list[float]:
     """The reader before its fast path: every record stripped and checked."""
     values: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         first_record_seen = False
         for lineno, fields in enumerate(reader, start=1):
@@ -543,11 +543,13 @@ def _read_outcome(reader, path):
 
 @settings(max_examples=400)
 @given(header=_HEADER, rows=st.lists(st.tuples(_ROW, _EOL), max_size=12),
-       last_eol=st.booleans(), crlf=st.booleans())
-def test_reader_matches_reference(tmp_path_factory, header, rows, last_eol, crlf):
+       last_eol=st.booleans(), crlf=st.booleans(), bom=st.booleans())
+def test_reader_matches_reference(tmp_path_factory, header, rows, last_eol, crlf, bom):
     if crlf:  # every line ends in CRLF: the block path takes such files
         rows = [(row, "\r\n") for row, _ in rows]
     text = "".join(row + eol for row, eol in [(header, "\r\n" if crlf else "\n")] + rows)
+    if bom:  # a byte-order mark, as Excel's "CSV UTF-8" writes
+        text = "\ufeff" + text
     if not last_eol:
         text = text.rstrip("\r\n")
     path = tmp_path_factory.getbasetemp() / "reader.csv"
@@ -693,6 +695,23 @@ def _empirical_row(argv, capsys):
     out, _ = capsys.readouterr()
     records = list(csv.reader(io.StringIO(out)))
     return code, dict(zip(records[0], records[1]))
+
+
+@pytest.mark.parametrize("text", [
+    "0.5\n1.0\n-0.25\n0.75\n-1.5\n0.1\n",
+    '0.5\n"1.0"\n-0.25\n0.75\n-1.5\n0.1\n',  # the quote sends it to the record loop
+], ids=["blocks", "records"])
+def test_empirical_ignores_a_byte_order_mark(tmp_path, capsys, text):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF, which float() does not
+    # parse: the first value of a headerless file was taken for a header
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert cli.read_return_csv(str(marked)) == [0.5, 1.0, -0.25, 0.75, -1.5, 0.1]
+    argv = ["--tail-factor", "5", "--precision", "17"]
+    code, row = _empirical_row(["empirical", str(marked), *argv], capsys)
+    assert (code, row["n"]) == (0, "6")
+    assert (code, row) == _empirical_row(["empirical", str(plain), *argv], capsys)
 
 
 def test_empirical_kurtosis_is_scale_free(tmp_path, capsys):

@@ -41,10 +41,8 @@ CALLS = {
     "samuelson_bound": (extreme_point.samuelson_bound, [100]),
     "construct_distribution": (extreme_point.construct_distribution, [101, 7.0]),
     "oracle_moments": (extreme_point.oracle_moments, [Data(DATA)]),
-    "required_tail_factor": (validator.required_tail_factor, [250, 7.0]),
     "max_safe_history": (validator.max_safe_history, [10.0, 7.0]),
     "validate_model": (validator.validate_model, [10.0, 250, 7.0]),
-    "validate_blr": (validator.validate_blr, ["6m", 7.0, 250]),
     "empirical_validate": (validator.empirical_validate, [Data(DATA), 10.0]),
     "ReturnSeries": (validator.ReturnSeries.from_values, [Data(DATA)]),
     "normal_cdf": (distributions.normal_cdf, [1.0]),

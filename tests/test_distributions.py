@@ -43,6 +43,7 @@ def test_normal_one_in_million():
 
 def test_normal_centre_and_anchor():
     assert normal_quantile(0.5) == 0.0
+    assert math.copysign(1.0, normal_quantile(0.5)) == 1.0  # +0.0, not -0.0
     # frozen value derived by bisection on an erfc-based CDF
     assert normal_quantile(0.9999) == pytest.approx(3.719016485455709, abs=1e-9)
 
@@ -90,7 +91,9 @@ def test_student_t_published_tail_factors():
 
 
 def test_student_t_centre():
-    assert student_t_quantile(0.5, 7) == 0.0
+    for dof in (1, 2, 7):  # the closed forms of dof 1 and 2, and Newton
+        assert student_t_quantile(0.5, dof) == 0.0
+        assert math.copysign(1.0, student_t_quantile(0.5, dof)) == 1.0  # +0.0, not -0.0
 
 
 @given(

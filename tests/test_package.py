@@ -13,7 +13,7 @@ SUBMODULES = ("appendix_search", "chebyshev_bounds", "distributions", "errors",
 COMPUTE = ("appendix_search", "chebyshev_bounds", "distributions", "extreme_point",
            "validator")
 
-# the 54 exports and six submodules that `from tailbound import *` binds
+# the 52 exports and six submodules that `from tailbound import *` binds
 STAR_NAMES = {
     *SUBMODULES,
     "ComparisonRow", "KAPPA_TOL", "OutlierSearchResult", "SHAPES", "comparison_table",
@@ -30,8 +30,7 @@ STAR_NAMES = {
     "construct_distribution", "feasible_floor", "feasible_kurtosis_range", "oracle_moments",
     "samuelson_bound", "solve_extreme_point",
     "DEFAULT_HISTORY_CEILING", "EmpiricalVerdict", "ModelVerdict", "ReturnSeries",
-    "empirical_validate", "max_safe_history", "required_tail_factor", "validate_blr",
-    "validate_model",
+    "empirical_validate", "max_safe_history", "validate_model",
 }
 
 

@@ -15,15 +15,14 @@ from tailbound import (
     InfeasibleKurtosisError,
     ReturnSeries,
     TableLookupError,
+    blr_tail_factor,
     construct_distribution,
     empirical_validate,
     extreme_point,
     feasible_floor,
     feasible_kurtosis_range,
     max_safe_history,
-    required_tail_factor,
     solve_extreme_point,
-    validate_blr,
     validate_model,
     validator,
 )
@@ -38,13 +37,13 @@ import goldens
 
 
 def test_required_tail_factor_anchors():
-    assert required_tail_factor(833_208, 7.0) == pytest.approx(47.296, abs=0.01)
-    assert required_tail_factor(10_000, 16.0) == pytest.approx(19.705, abs=0.01)
+    assert solve_extreme_point(833_208, 7.0).a == pytest.approx(47.296, abs=0.01)
+    assert solve_extreme_point(10_000, 16.0).a == pytest.approx(19.705, abs=0.01)
 
 
 def test_required_tail_factor_at_kappa_max():
     rng = feasible_kurtosis_range(777)
-    assert required_tail_factor(777, rng.kappa_max) == pytest.approx(
+    assert solve_extreme_point(777, rng.kappa_max).a == pytest.approx(
         math.sqrt(776), abs=1e-12
     )
 
@@ -58,12 +57,12 @@ def test_max_safe_history_bracketing_anchor():
     n = max_safe_history(7.0, 7.0)
     assert n == 385  # frozen from the bisection itself
     assert n < 500  # a two-year history already over-stretches a 7-sigma model
-    assert required_tail_factor(n, 7.0) <= 7.0 < required_tail_factor(n + 1, 7.0)
+    assert solve_extreme_point(n, 7.0).a <= 7.0 < solve_extreme_point(n + 1, 7.0).a
 
 
 def test_max_safe_history_unbounded_marker():
     assert max_safe_history(1000.0, 7.0) is None
-    assert required_tail_factor(DEFAULT_HISTORY_CEILING, 7.0) < 1000.0  # no breach up to it
+    assert solve_extreme_point(DEFAULT_HISTORY_CEILING, 7.0).a < 1000.0  # no breach up to it
 
 
 def test_max_safe_history_zero_when_floor_breaches():
@@ -85,13 +84,13 @@ def _bisection_reference(tail, kappa):
     lo, hi = feasible_floor(kappa), DEFAULT_HISTORY_CEILING
     if lo > hi:
         raise DomainError(f"no feasible history length at or below the ceiling {hi}")
-    if required_tail_factor(lo, kappa) > tail:
+    if solve_extreme_point(lo, kappa).a > tail:
         return 0
-    if required_tail_factor(hi, kappa) <= tail:
+    if solve_extreme_point(hi, kappa).a <= tail:
         return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if required_tail_factor(mid, kappa) <= tail:
+        if solve_extreme_point(mid, kappa).a <= tail:
             lo = mid
         else:
             hi = mid
@@ -123,13 +122,13 @@ def test_max_safe_history_bisection_property(log_tail, log_kappa):
     assert n == want
     assert solves  # the count below sees every evaluation of a(n)
     if n is None:
-        assert required_tail_factor(DEFAULT_HISTORY_CEILING, kappa) <= tail
+        assert solve_extreme_point(DEFAULT_HISTORY_CEILING, kappa).a <= tail
     elif n == 0:
-        assert required_tail_factor(feasible_floor(kappa), kappa) > tail
+        assert solve_extreme_point(feasible_floor(kappa), kappa).a > tail
     else:
         # the float crossing and its neighbour, without endpoint checks
         assert len(solves) <= 3
-        assert required_tail_factor(n, kappa) <= tail < required_tail_factor(n + 1, kappa)
+        assert solve_extreme_point(n, kappa).a <= tail < solve_extreme_point(n + 1, kappa).a
 
 
 @pytest.mark.parametrize(
@@ -217,7 +216,7 @@ def _history_questions(draw):
         float(n - 3), 1.0 + 2.0 / (n - 1),  # the guard's two edges at n
     ])), draw(st.integers(-2, 2)))
     assume(kappa in feasible_kurtosis_range(n))
-    return _ulps(required_tail_factor(n, kappa), draw(st.integers(-2, 2))), kappa
+    return _ulps(solve_extreme_point(n, kappa).a, draw(st.integers(-2, 2))), kappa
 
 
 @settings(max_examples=1500)
@@ -293,7 +292,7 @@ def test_validate_model_margin_zero_at_samuelson():
 
 
 def test_validate_model_pass_fail_antisymmetry():
-    required = required_tail_factor(500, 7.0)
+    required = solve_extreme_point(500, 7.0).a
     assert validate_model(required + 1e-6, 500, 7.0).passed
     assert not validate_model(required - 1e-6, 500, 7.0).passed
 
@@ -310,8 +309,6 @@ def test_validate_model_rejects_a_history_past_the_ceiling():
     with pytest.raises(DomainError, match="history length above 1000000000 is not supported"):
         validate_model(500.0, 10**12, 7.0)
     with pytest.raises(DomainError, match="above 1000000000"):
-        validate_blr("6m", 7.0, DEFAULT_HISTORY_CEILING + 1)
-    with pytest.raises(DomainError, match="above 1000000000"):
         validate_model(500.0, 1e12, 7.0)
     v = validate_model(500.0, DEFAULT_HISTORY_CEILING, 7.0)
     assert v.passed and v.max_safe_history is None
@@ -322,10 +319,7 @@ def test_validate_model_rejects_a_fractional_history():
     # as the bound at 500
     with pytest.raises(DomainError, match="whole number, got 500.5"):
         validate_model(7.0, 500.5, 7.0)
-    with pytest.raises(DomainError, match="whole number, got 15750.25"):
-        validate_blr("6m", 16.0, 15750.25)
     assert validate_model(7.0, 500.0, 7.0) == validate_model(7.0, 500, 7.0)
-    assert validate_blr("6m", 16.0, 15750.0) == validate_blr("6m", 16.0, 15750)
     # non-finite histories get the solver's size message
     with pytest.raises(DomainError, match="at least 5, got nan"):
         validate_model(7.0, math.nan, 7.0)
@@ -341,7 +335,7 @@ def test_validate_model_rejects_a_fractional_history():
 )
 def test_verdict_sign_convention(n, kappa, offset):
     assume(kappa in feasible_kurtosis_range(n))
-    required = required_tail_factor(n, kappa)
+    required = solve_extreme_point(n, kappa).a
     v = validate_model(required + offset, n, kappa)
     assert v.passed == (v.margin >= 0.0)
     if offset >= 0.0:
@@ -364,7 +358,7 @@ def test_passed_exactly_when_the_history_is_safe(log_n, fraction, step):
     kappa = rng.kappa_max if fraction == 1.0 else (
         rng.kappa_min + fraction * (rng.kappa_max - rng.kappa_min))
     assume(kappa in rng)
-    a = required_tail_factor(n, kappa)
+    a = solve_extreme_point(n, kappa).a
     tail = a if step == 0 else math.nextafter(a, step * math.inf)
     v = validate_model(tail, n, kappa)
     assert v.passed == (v.max_safe_history is None or v.max_safe_history >= n)
@@ -376,21 +370,21 @@ def test_passed_exactly_when_the_history_is_safe(log_n, fraction, step):
 
 
 def test_validate_blr_cases():
-    v = validate_blr("6m", 7.0, 5250)
+    v = validate_model(blr_tail_factor("6m", 7.0), 5250, 7.0)
     assert not v.passed and v.tail_factor == 13.115
 
-    v = validate_blr("1m", 16.0, 10_000)
+    v = validate_model(blr_tail_factor("1m", 16.0), 10_000, 16.0)
     assert v.passed and v.tail_factor == 22.873
 
-    v = validate_blr("6m", 16.0, 15_750)
+    v = validate_model(blr_tail_factor("6m", 16.0), 15_750, 16.0)
     assert not v.passed
 
 
 def test_validate_blr_unknown_keys():
     with pytest.raises(TableLookupError):
-        validate_blr("9m", 7.0, 1000)
+        validate_model(blr_tail_factor("9m", 7.0), 1000, 7.0)
     with pytest.raises(TableLookupError):
-        validate_blr("6m", 11.0, 1000)
+        validate_model(blr_tail_factor("6m", 11.0), 1000, 11.0)
 
 
 # ---------------------------------------------------------------------------
