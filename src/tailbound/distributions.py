@@ -16,16 +16,23 @@ onto the smaller tail themselves, so the inverse CDFs ``*_quantile(p)`` are
   steps against an erfc-based survival function;
 * Student-t: Hill's closed-form start (G. W. Hill, "Algorithm 396:
   Student's t-quantiles", CACM 13(10), 1970), exact for dof 1 and 2,
-  finished by safeguarded Newton steps on the log-survival function.  The
-  survival function goes through the regularised incomplete beta function
-  (continued fraction, Lentz's method) in log space, so neither it nor the
-  density underflows.
+  finished by a safeguarded Halley step on the log-survival function.
+  For q from 1e-300 to 1/2, Hill's start is within 1e-5 of the root on
+  every grid measured (save dof 3 at q from 0.056 to 0.064, where it is up
+  to 1.5e-5 off and a second step follows), so one step, and one tail
+  evaluation, ends the solve; the cubic error that step leaves measured at
+  most 0.32 ulp against 40-digit arithmetic.  The survival function
+  goes through the regularised incomplete beta function (continued
+  fraction, Lentz's method) in log space, so neither it nor the density
+  underflows.
 
 Against scipy's survival function, sf(isf(q))/q - 1 stays within 1e-11 for
 the normal for q from 1/1.7e308 to 1/2.  For Student-t, with q from 1e-300
-to 1/2, it stays within 1e-11 for dof <= 1000, 1e-9 up to dof 1e5 and 2e-8
-up to dof 1e6; lgamma cancellation in the incomplete-beta front factor costs
-the digits, and above dof 10**6 the tail and quantile raise DomainError.
+to 1/2, it stays within 1e-11 for dof <= 1000, 2e-11 up to dof 1e5 and
+2e-10 up to dof 1e6.  Above dof 1000 the log-density constant comes from an
+asymptotic series, and what is left is the continued fraction's first
+terms, which cancel as dof/(dof + x**2) nears 1; above dof 10**6 the tail
+and quantile raise DomainError.
 
 The Brace-Lauer-Rado (BLR) stochastic-volatility shock model enters through
 its kurtosis link kappa = 3*exp(h**2/(2g)) and through its published 1-day
@@ -112,61 +119,89 @@ def normal_quantile(p: float) -> float:
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (Lentz)."""
+    """Continued fraction for the incomplete beta function (Lentz).
+
+    The term counter is a float and the guards are chained comparisons:
+    the float operations, and so the result, are those of the textbook loop
+    with an int counter and abs(), without its conversions and calls.
+    """
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
+    if -tiny < d < tiny:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    m = 0.0
+    for _ in range(399):
+        m += 1.0
+        m2 = m + m
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
-        if abs(d) < tiny:
+        if -tiny < d < tiny:
             d = tiny
         c = 1.0 + aa / c
-        if abs(c) < tiny:
+        if -tiny < c < tiny:
             c = tiny
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < tiny:
+        if -tiny < d < tiny:
             d = tiny
         c = 1.0 + aa / c
-        if abs(c) < tiny:
+        if -tiny < c < tiny:
             c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-15:
+        if -1e-15 < delta - 1.0 < 1e-15:
             return h
     raise SearchError("incomplete beta continued fraction did not converge")
 
 
-#: Largest dof the Student-t tail accepts: above it lgamma(a + 1/2) - lgamma(a)
-#: cancels, and the tail and quantile go wrong without any error.
+#: Largest dof the Student-t tail accepts: the continued fraction's error
+#: grows with dof, past the documented bands above it.
 _DOF_MAX = 10**6
 
+#: From a = dof/2 = 500 on, log Gamma(a + 1/2)/Gamma(a) comes from its
+#: asymptotic series, which is exact to rounding there, and not from
+#: lgamma(a + 1/2) - lgamma(a), whose terms near a*log(a) cancel.
+_SERIES_A = 500.0
+_HALF_LOG_2PI = 0.9189385332046728  # log(2*pi)/2, correctly rounded
 
-def _student_t_log_tail(x: float, dof: int) -> tuple[float, float]:
+
+def _student_t_log_norm(dof: int) -> float:
+    """log pdf(0) = log Gamma(a + 1/2) - log Gamma(a) - log sqrt(dof*pi), a = dof/2.
+
+    From a = 500 on, log Gamma(a + 1/2)/Gamma(a) is the asymptotic series
+    1/2 log a - 1/(8a) + 1/(192a**3) - 1/(640a**5) + 17/(14336a**7) (from
+    Stirling's series, Abramowitz & Stegun 6.1.41; the first term left out
+    is -31/(18432a**9)).  Its 1/2 log a cancels exactly against that of
+    log sqrt(dof*pi) = 1/2 log a + 1/2 log(2pi), so nothing is left to cancel.
+    """
+    a = 0.5 * dof
+    if a < _SERIES_A:
+        return math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(dof * math.pi)
+    r = 1.0 / (a * a)
+    return (((17.0 / 14336.0 * r - 1.0 / 640.0) * r + 1.0 / 192.0) * r - 0.125) / a - _HALF_LOG_2PI
+
+
+def _student_t_log_tail(x: float, dof: int, log_norm: float) -> tuple[float, float]:
     """(log P(T > x), log pdf(x)) for x > 0, free of overflow and underflow.
 
-    With t = x/sqrt(dof) and z = 1/(1 + t**2), P(T > x) = I_z(dof/2, 1/2)/2,
-    and the incomplete-beta front factor z**(dof/2) * (1-z)**(1/2) / B is
-    exactly x * pdf(x), so one log-density serves both.
+    log_norm is :func:`_student_t_log_norm` of dof.  With t = x/sqrt(dof)
+    and z = 1/(1 + t**2), P(T > x) = I_z(dof/2, 1/2)/2, and the
+    incomplete-beta front factor z**(dof/2) * (1-z)**(1/2) / B is exactly
+    x * pdf(x), so one log-density serves both.
     """
     a = 0.5 * dof
     t = x / math.sqrt(dof)
     # log(1 + t**2) without forming t**2 when it could overflow
     log1p_t2 = 2.0 * math.log(t) + math.log1p(1.0 / (t * t)) if t > 1.0 else math.log1p(t * t)
-    log_pdf = (
-        math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(dof * math.pi)
-        - (a + 0.5) * log1p_t2
-    )
+    log_pdf = log_norm - (a + 0.5) * log1p_t2
     z = math.exp(-log1p_t2)
     if z < (a + 1.0) / (a + 2.5):
         log_sf = log_pdf + math.log(x / dof * _betacf(a, 0.5, z))
@@ -190,7 +225,7 @@ def student_t_cdf(x: float, dof: int) -> float:
         return 1.0 if x > 0.0 else 0.0
     if x == 0.0:
         return 0.5
-    tail = math.exp(_student_t_log_tail(abs(x), dof)[0])
+    tail = math.exp(_student_t_log_tail(abs(x), dof, _student_t_log_norm(dof))[0])
     return tail if x < 0.0 else 1.0 - tail
 
 
@@ -224,23 +259,25 @@ def _hill_start(q: float, dof: int) -> float:
     return math.sqrt(n * y)
 
 
-#: Newton returns once a step moves x by less than this fraction: the
-#: error left after that step is of order its square.
-_NEWTON_STEP_TOL = 1e-8
-_NEWTON_CAP = 60
+#: The solver returns once a Halley step moves x by less than this fraction:
+#: the error left after that step is of order its cube, below rounding.
+_HALLEY_STEP_TOL = 1e-5
+_ITERATION_CAP = 60
 
 
 def student_t_isf(q: float, dof: int) -> float:
     """Student-t deviate exceeded with probability q (raw, not standardised).
 
-    Hill's start, then Newton on log sf(x) = log q with the step
-    (log sf - log q) * sf/pdf, kept inside the bracket the residual signs
-    establish.  Working in logs keeps full relative accuracy down to the
-    smallest tail masses.
+    Hill's start, then Halley steps on g(x) = log sf(x) - log q, kept inside
+    the bracket the residual signs establish.  With the hazard h = pdf/sf,
+    g' = -h and g'' = h*((dof+1)*x/(dof + x**2) - h) are in closed form, so
+    a step costs one tail evaluation; where Halley's denominator is not
+    positive the step is Newton's.  Working in logs keeps full relative
+    accuracy down to the smallest tail masses.
 
     Raises:
         DomainError: q outside (0, 1), or dof not an integer in 1..10**6.
-        SearchError: Newton did not settle within its iteration cap.
+        SearchError: the iteration did not settle within its cap.
     """
     check_int(dof, "degrees of freedom", at_least=1, at_most=_DOF_MAX)
     check_real(q, "tail mass", above=0.0, below=1.0)
@@ -255,17 +292,26 @@ def _student_t_isf(q: float, dof: int) -> float:
     if dof <= 2:
         return x
     log_q = math.log(q)
+    log_norm = _student_t_log_norm(dof)
+    nu1 = dof + 1.0
     lo, hi = 0.0, math.inf
-    for _ in range(_NEWTON_CAP):
-        log_sf, log_pdf = _student_t_log_tail(x, dof)
+    for _ in range(_ITERATION_CAP):
+        log_sf, log_pdf = _student_t_log_tail(x, dof, log_norm)
         resid = log_sf - log_q
         if resid > 0.0:  # sf too large, root lies to the right
             lo = x
         else:
             hi = x
-        step = resid * math.exp(log_sf - log_pdf)
-        if abs(step) <= _NEWTON_STEP_TOL * x:
-            return x + step
+        h = math.exp(log_pdf - log_sf)
+        # Halley: resid / (h - resid * g''/(2h)); (dof+1)*x/(dof + x**2)
+        # divided through by x, so x**2 cannot overflow
+        denom = h - 0.5 * resid * (nu1 / (dof / x + x) - h)
+        if denom > 0.0:
+            step = resid / denom
+            if -_HALLEY_STEP_TOL * x <= step <= _HALLEY_STEP_TOL * x:
+                return x + step
+        else:
+            step = resid / h
         x_new = x + step
         x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
     raise SearchError(f"Student-t quantile at q={q!r}, dof={dof} did not converge")
