@@ -35,8 +35,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import repeat
-from operator import itemgetter
 from typing import Sequence
 
 from . import appendix_search, chebyshev_bounds, distributions, extreme_point, validator
@@ -416,8 +414,11 @@ def _read_blocks(fh) -> list[float] | None:
     The CR of a CRLF is whitespace to float() and strip(), as the record
     loop's csv module drops it.
     A block is about 64 KiB of whole lines, irregular if longer than the
-    csv field limit.  It is split by str methods and converted by map, so
-    no Python code runs per row.
+    csv field limit.  It is split by str methods and converted by map; the
+    only bytecode run per row is the comprehension that takes a dated
+    line's value after its comma.  The values are finite when their plain
+    sum is, and only a sum that is not (a non-finite value, or an overflow)
+    checks them one by one.
     """
     import csv
 
@@ -447,12 +448,12 @@ def _read_blocks(fh) -> list[float] | None:
                     del lines[0]  # header line, as in the record loop
         fields = lines
         if "," in text:  # "" for no comma and "b,c" for two: float() fails
-            fields = map(itemgetter(2), map(str.partition, lines, repeat(",")))
+            fields = [line.partition(",")[2] for line in lines]
         try:
             values.extend(map(float, fields))
         except ValueError:
             return None
-    return values if all(map(math.isfinite, values)) else None
+    return values if math.isfinite(sum(values)) or all(map(math.isfinite, values)) else None
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,13 @@ onto the smaller tail themselves, so the inverse CDFs ``*_quantile(p)`` are
 Against scipy's survival function, sf(isf(q))/q - 1 stays within 1e-11 for
 the normal for q from 1/1.7e308 to 1/2.  For Student-t, with q from 1e-300
 to 1/2, it stays within 1e-11 for dof <= 1000, 2e-11 up to dof 1e5 and
-2e-10 up to dof 1e6.  Above dof 1000 the log-density constant comes from an
-asymptotic series, and what is left is the continued fraction's first
-terms, which cancel as dof/(dof + x**2) nears 1; above dof 10**6 the tail
-and quantile raise DomainError.
+2e-10 up to dof 1e6.  From dof 55 on the log-density constant comes from an
+asymptotic series, within an ulp of its exact value: from dof 55 to 999, at
+tail masses from 1e-7 to 0.004, tail factors then sit 1.6 ulp from the
+40-digit root on average and 29 ulp at worst in a 300-point sample, against
+33 and 595 ulp with lgamma's constant.  Above dof 1000 what is left is the
+continued fraction's first terms, which cancel as dof/(dof + x**2) nears 1;
+above dof 10**6 the tail and quantile raise DomainError.
 
 The Brace-Lauer-Rado (BLR) stochastic-volatility shock model enters through
 its kurtosis link kappa = 3*exp(h**2/(2g)) and through its published 1-day
@@ -166,17 +169,18 @@ def _betacf(a: float, b: float, x: float) -> float:
 #: grows with dof, past the documented bands above it.
 _DOF_MAX = 10**6
 
-#: From a = dof/2 = 500 on, log Gamma(a + 1/2)/Gamma(a) comes from its
-#: asymptotic series, which is exact to rounding there, and not from
-#: lgamma(a + 1/2) - lgamma(a), whose terms near a*log(a) cancel.
-_SERIES_A = 500.0
+#: From a = dof/2 = 27.5 on, log Gamma(a + 1/2)/Gamma(a) comes from its
+#: asymptotic series, within an ulp of the exact constant there (dof 54 is
+#: 1.9 ulp off), and not from lgamma(a + 1/2) - lgamma(a), whose terms near
+#: a*log(a) cancel to errors of up to 1.7e-13 below dof 1000.
+_SERIES_A = 27.5
 _HALF_LOG_2PI = 0.9189385332046728  # log(2*pi)/2, correctly rounded
 
 
 def _student_t_log_norm(dof: int) -> float:
     """log pdf(0) = log Gamma(a + 1/2) - log Gamma(a) - log sqrt(dof*pi), a = dof/2.
 
-    From a = 500 on, log Gamma(a + 1/2)/Gamma(a) is the asymptotic series
+    From a = 27.5 on, log Gamma(a + 1/2)/Gamma(a) is the asymptotic series
     1/2 log a - 1/(8a) + 1/(192a**3) - 1/(640a**5) + 17/(14336a**7) (from
     Stirling's series, Abramowitz & Stegun 6.1.41; the first term left out
     is -31/(18432a**9)).  Its 1/2 log a cancels exactly against that of

@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import repeat
-from operator import mul, sub
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
@@ -67,7 +67,7 @@ __all__ = list(_EXPORTS["extreme_point"])
 _TWO_1074 = 1 << 1074
 
 #: most points a list is built with (construct_distribution, generate_base, a
-#: uniform search): `tailbound appendix --n 5000000` took 1.4 s and 398 MB
+#: uniform search): `tailbound appendix --n 5000000` took 1.4 s and 397 MB
 #: peak RSS (Python 3.11, 2-vCPU Xeon)
 _MAX_POINTS = 5_000_000
 
@@ -312,12 +312,18 @@ def _central_sums(values: Iterable[float], centre: float, counts: Sequence[int] 
     """Compensated sums (s2, s3, s4) of (v - centre)**k, the i-th value counted
     counts[i] times when counts is given (see :func:`_wsum`): the one kernel of
     centred powers, for the outlier search's two passes and the empirical
-    moments.  Unless odd is true s3 is None and only the squares are kept."""
-    dev = map(sub, values, repeat(centre))
+    moments.  Unless odd is true s3 is None and only the squares are kept,
+    each taken where its deviation is formed.  The lists of deviations and
+    squares come from comprehensions, whose float subtract and multiply cost
+    less per value than a map of operator.sub or mul; the products summed
+    at once stay maps, which build no list."""
     if odd:
-        dev = list(dev)
-    sq = [d * d for d in dev]
-    s3 = _wsum(map(mul, sq, dev), counts) if odd else None
+        dev = [v - centre for v in values]
+        sq = [d * d for d in dev]
+        s3 = _wsum(map(mul, sq, dev), counts)
+    else:
+        sq = [(d := v - centre) * d for v in values]
+        s3 = None
     return _wsum(sq, counts), s3, _wsum(map(mul, sq, sq), counts)
 
 
@@ -342,9 +348,10 @@ def oracle_moments(data: Iterable[float]) -> Moments:
 def _moments(values: Sequence[float], odd: bool = False
              ) -> tuple[float, float, float | None, float, float, float]:
     """(mean, variance, skewness, kurtosis, min, max) of a sequence of floats,
-    as :func:`oracle_moments` computes them: one :func:`_central_sums` pass
-    about the mean, the outlier search's kernel.  The odd sum for skewness is
-    formed only when odd is true; skewness is None otherwise."""
+    as :func:`oracle_moments` computes them: the mean from one fsum, then one
+    :func:`_central_sums` pass about it, the outlier search's kernel.  The
+    odd sum for skewness is formed only when odd is true; skewness is None
+    otherwise."""
     n = len(values)
     if not n:
         raise DomainError("cannot compute moments of an empty dataset")
@@ -356,7 +363,16 @@ def _moments(values: Sequence[float], odd: bool = False
     # fit a float anyway, and 2**1023 is the largest factor there is
     e = max(math.frexp(top)[1], -1023)
     scale = math.ldexp(1.0, -e)
-    mean = math.fsum(map(mul, values, repeat(scale))) / n
+    # below max |x| = 1, as for any return series, the scale is at least 1
+    # and the data's own sum scales to the scaled data's sum bit for bit: a
+    # normal sum rounds to the same 53 bits either way, and a sum under
+    # 2**-1021 is a multiple of 2**-1074 that fits 53 bits, so fsum returns
+    # it exactly.  A scale below 1 would drop a subnormal's low bits, so
+    # from max |x| = 1 on the data is scaled first.
+    if e <= 0:
+        mean = math.fsum(values) * scale / n
+    else:
+        mean = math.fsum(map(mul, values, repeat(scale))) / n
     if mean != mean:  # a nan that max and min stepped over
         raise DomainError("data must be finite numbers, got nan")
     s2, s3, s4 = _central_sums(map(mul, values, repeat(scale)), mean, odd=odd)

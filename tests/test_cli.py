@@ -663,6 +663,28 @@ def test_reader_reports_a_bad_value_before_a_later_bad_byte(tmp_path):
     assert got == ("CsvFormatError", "line 2: cannot parse value 'abc'")
 
 
+@pytest.mark.parametrize("dated", [False, True], ids=["value", "date-value"])
+def test_reader_keeps_blocks_when_the_plain_sum_overflows(tmp_path, dated):
+    # every value is finite but their plain sum is not, so the block
+    # reader's one-sum check must fall to checking the values one by one
+    rows = ["1.7e308", "1.7e308", "-1.7e308"] * 10_000
+    if dated:
+        rows = [f"2024-01-02,{v}" for v in rows]
+    path = tmp_path / "overflow.csv"
+    took_blocks, got = _block_csv(path, "value\n" + "\n".join(rows) + "\n")
+    assert took_blocks and got == _reference_read_return_csv(str(path))
+    assert not math.isfinite(sum(got))
+
+
+@pytest.mark.parametrize("head", ["1.0\n", "1.7e308\n1.7e308\n"], ids=["finite", "overflowing"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999", "-1e999"])
+def test_reader_reports_the_line_of_a_non_finite_value(tmp_path, head, value):
+    path = tmp_path / "non-finite.csv"
+    line = head.count("\n") + 1
+    assert _block_csv(path, f"{head}{value}\n2.0\n") == (
+        False, ("CsvFormatError", f"line {line}: non-finite value {value!r}"))
+
+
 @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
 @pytest.mark.parametrize("header", ['"date","value"', "date,value"],
                          ids=["quoted-header", "regular"])

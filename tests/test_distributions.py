@@ -389,25 +389,58 @@ def _lgamma_log_norm(dof):
     return math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(dof * math.pi)
 
 
-def test_student_t_log_norm_takes_the_series_where_lgamma_leaves_1e_12():
-    # the switch sits at dof = 2 * _SERIES_A = 1000: below it the lgamma
-    # difference keeps within 1e-12 of the exact log-density constant, so
-    # dof <= 999 is untouched by the series; just above it the lgamma error
-    # passes 1e-12 (it reaches 5e-10 at dof 1e6), and from it on the
-    # series is within an ulp
+def test_student_t_log_norm_takes_the_series_from_where_it_keeps_within_an_ulp(monkeypatch):
+    # the switch sits at dof = 2 * _SERIES_A = 55, the smallest dof from
+    # which the series stays within an ulp of the exact log-density
+    # constant (at dof 54 it is 1.9 ulp off); below it the lgamma
+    # difference is taken, within 1e-12 of the constant
     switch = round(2 * distributions._SERIES_A)
     rng = random.Random(1000)
-    below = list(range(3, 40)) + rng.sample(range(40, switch), 60) + [switch - 1]
-    above = [switch] + rng.sample(range(switch + 1, 4000), 60)
-    for dof in below:
+    for dof in range(3, switch):
         got = distributions._student_t_log_norm(dof)
         assert got == _lgamma_log_norm(dof)
         assert abs(decimal.Decimal(got) - _exact_log_norm(dof)) <= decimal.Decimal(1e-12)
-    for dof in above:
+    for dof in list(range(switch, 1000)) + rng.sample(range(1000, 4000), 60):
         got = distributions._student_t_log_norm(dof)
         assert abs(decimal.Decimal(got) - _exact_log_norm(dof)) <= decimal.Decimal(math.ulp(got))
-    assert max(abs(decimal.Decimal(_lgamma_log_norm(dof)) - _exact_log_norm(dof))
-               for dof in above) > decimal.Decimal(1e-12)
+    monkeypatch.setattr(distributions, "_SERIES_A", (switch - 1) / 2)
+    got = distributions._student_t_log_norm(switch - 1)
+    assert abs(decimal.Decimal(got) - _exact_log_norm(switch - 1)) > decimal.Decimal(math.ulp(got))
+
+
+def _exact_student_t_sf(t, dof):
+    # Abramowitz & Stegun 26.7.3 for odd dof, in decimal: with x = t/sqrt(dof)
+    # and c = cos(atan x), P(T > t) = 1/2 - (atan x + x*c*(c + 2/3 c**3 +
+    # (2*4)/(3*5) c**5 + ... up to c**(dof - 2)))/pi
+    x = t / decimal.Decimal(dof).sqrt()
+    c2 = 1 / (1 + x * x)
+    term = total = c2.sqrt()
+    for k in range(1, (dof - 1) // 2):
+        term *= c2 * 2 * k / (2 * k + 1)
+        total += term
+    atan, power, k = decimal.Decimal(0), x, 0  # the Taylor series: |x| < 1 here
+    while abs(power) > decimal.Decimal(10) ** -60:
+        atan += (-1) ** k * power / (2 * k + 1)
+        power *= x * x
+        k += 1
+    return (1 - 2 / _PI * (atan + x * c2.sqrt() * total)) / 2
+
+
+def test_student_t_isf_at_dof_165_is_within_a_few_ulps_of_the_exact_root():
+    # with the lgamma difference as its log-density constant (1.1e-13 off at
+    # dof 165) this tail factor was 74 ulps off the root; the series leaves
+    # 2.1 ulps, from rounding in log1p(t**2) and the continued fraction
+    q, dof = 0.0013026, 165
+    got = student_t_isf(q, dof)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        root = decimal.Decimal(got)
+        log_norm = _exact_log_norm(dof)
+        for _ in range(4):  # Newton steps on the exact tail
+            pdf = (log_norm - (dof + 1) // 2 * (1 + root * root / dof).ln()).exp()
+            root += (_exact_student_t_sf(root, dof) - decimal.Decimal(q)) / pdf
+        assert abs(_exact_student_t_sf(root, dof) / decimal.Decimal(q) - 1) < 1e-40
+        assert abs(decimal.Decimal(got) - root) <= 3 * decimal.Decimal(math.ulp(got))
 
 
 # ---------------------------------------------------------------------------

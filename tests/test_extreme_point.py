@@ -4,6 +4,8 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import repeat
+from operator import mul, sub
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -631,3 +633,96 @@ def test_oracle_moments_are_scale_free(data, k):
     if m.mean == 0.0 or abs(m.mean) >= sys.float_info.min:
         assert (ReturnSeries.from_values(scaled).max_abs_deviation_in_sigmas
                 == ReturnSeries.from_values(data).max_abs_deviation_in_sigmas)
+
+
+def _reference_moments(values, odd):
+    """_moments with every sum on the data scaled first and the deviations
+    formed by map: the arithmetic its unscaled mean and inline squares keep."""
+    n = len(values)
+    if not n:
+        raise DomainError("cannot compute moments of an empty dataset")
+    lo, hi = min(values), max(values)
+    top = max(hi, -lo)
+    if not top < math.inf:
+        raise DomainError(f"data must be finite numbers, got {top!r}")
+    e = max(math.frexp(top)[1], -1023)
+    scale = math.ldexp(1.0, -e)
+    mean = math.fsum(map(mul, values, repeat(scale))) / n
+    if mean != mean:
+        raise DomainError("data must be finite numbers, got nan")
+    dev = list(map(sub, map(mul, values, repeat(scale)), repeat(mean)))
+    sq = [d * d for d in dev]
+    s2, s3, s4 = math.fsum(sq), math.fsum(map(mul, sq, dev)), math.fsum(map(mul, sq, sq))
+    variance = s2 / n
+    if variance <= 0.0:
+        raise DegenerateDataError("zero variance: higher moments are undefined")
+    skewness = s3 / n / math.sqrt(variance)**3 if odd else None
+    kurtosis = s4 / n / variance**2
+    exponent = math.frexp(variance)[1] + 2 * e
+    if not sys.float_info.min_exp <= exponent <= sys.float_info.max_exp:
+        raise DomainError(
+            f"the variance of the data, about 2**{exponent}, does not fit a "
+            "normal float; rescale the data"
+        )
+    return math.ldexp(mean, e), math.ldexp(variance, 2 * e), skewness, kurtosis, lo, hi
+
+
+def _outcome(call, *args):
+    try:
+        return repr(call(*args))
+    except (DomainError, DegenerateDataError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_ANY_MAGNITUDE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    # every binade from the smallest subnormal's to the largest
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1024)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, _BELOW_ONE, -_BELOW_ONE]),
+)
+
+
+@st.composite
+def _moment_data(draw):
+    values = draw(st.lists(_ANY_MAGNITUDE, min_size=1, max_size=12))
+    shape = draw(st.sampled_from(["as drawn", "below one", "at one", "cancelling", "nan"]))
+    if shape in ("below one", "at one", "cancelling"):
+        # bring max |x| into [0.5, 1), where the mean is taken unscaled
+        top = max(map(abs, values))
+        if math.isfinite(top) and top > 0.0:
+            values = [math.ldexp(v, -math.frexp(top)[1]) for v in values]
+    if shape == "below one":
+        values.append(draw(st.sampled_from([_BELOW_ONE, -_BELOW_ONE])))
+    elif shape == "at one":
+        values.append(draw(st.sampled_from([1.0, -1.0])))
+    elif shape == "cancelling":  # pairs cancel exactly: the sum is subnormal or 0
+        tiny = draw(st.lists(st.integers(-2**52, 2**52).map(lambda k: k * 5e-324),
+                             min_size=1, max_size=3))
+        values = values + [-v for v in values] + tiny
+    elif shape == "nan":  # min and max step over it unless it comes first
+        values.insert(draw(st.integers(0, len(values))), math.nan)
+    return tuple(values)
+
+
+@settings(max_examples=1000)
+@example((256.0, -364.6005343087264, 226.96544033241105, 1.265e-321, 1.265e-321, -0.0,
+          234.33708329777804))  # an unscaled sum would move the mean's last bit here
+@example((0.375, -0.375, 5e-324))  # a subnormal sum, scaled by 2
+@example((0.5, math.nan, 0.25))
+@given(_moment_data())
+def test_moments_match_the_all_scaled_reference(values):
+    # below max |x| = 1 the mean comes from the unscaled sum; it must be the
+    # scaled sum's to the bit, and everything that follows from it too
+    for odd in (False, True):
+        assert _outcome(extreme_point._moments, values, odd) == _outcome(
+            _reference_moments, values, odd)
+    try:
+        mean, variance, skewness, kurtosis, _, _ = _reference_moments(values, True)
+    except (DomainError, DegenerateDataError):
+        return
+    assert repr(tuple(oracle_moments(values))) == repr((mean, variance, skewness, kurtosis))
+    if len(values) >= 5:
+        series = ReturnSeries.from_values(values)
+        assert repr((series.mean, series.sigma, series.kurtosis)) == repr(
+            (mean, math.sqrt(variance), kurtosis))
