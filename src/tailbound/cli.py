@@ -134,7 +134,7 @@ def _validate_args(p: argparse.ArgumentParser) -> None:
                    help="BLR mean-reversion time label, e.g. 6m")
     p.add_argument("--kurtosis", type=float, required=True)
     p.add_argument("--history", type=_int, required=True, metavar="N")
-    p.add_argument("--days-per-year", type=_positive_int, default=250,
+    p.add_argument("--days-per-year", type=_positive_int, default=None,
                    help="business days per year (reporting only; default 250)")
     p.set_defaults(build=build_validate)
 
@@ -281,13 +281,17 @@ def build_validate(args) -> tuple[OutputDocument, int]:
             raise _UsageError("--tail-factor conflicts with --blr (it is looked up)")
         v = validator.validate_model(distributions.blr_tail_factor(args.g_inv, args.kurtosis),
                                      args.history, args.kurtosis)
-        years = args.history / args.days_per_year
+        days = args.days_per_year or 250  # a given one is positive
         notes = [f"BLR tail factor for 1/g = {args.g_inv}, table {distributions.BLR_TABLE_VERSION}",
-                 f"history of {args.history} days is {years:.1f} years at "
-                 f"{args.days_per_year} days/year"]
+                 f"history of {args.history} days is {args.history / days:.1f} years at "
+                 f"{days} days/year"]
     else:
         if args.tail_factor is None:
             raise _UsageError("provide --tail-factor, or --blr with --g-inv")
+        if args.g_inv is not None:
+            raise _UsageError("--g-inv applies to --blr only")
+        if args.days_per_year is not None:
+            raise _UsageError("--days-per-year applies to --blr only")
         v = validator.validate_model(args.tail_factor, args.history, args.kurtosis)
         notes = []
     safe = v.max_safe_history

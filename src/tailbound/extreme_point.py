@@ -43,6 +43,10 @@ set {-0.784283 x4, 0.587622 x2, 1.961887} has kurtosis 2.366666860592851
 solve_extreme_point(7, 2.366666860592851).a is 1.92177.  ROADMAP.md item 10
 tracks the true maximum.
 
+Solved for n instead, (*) is a cubic whose largest root is the real size
+at which a(n, kappa) reaches a given tail factor; the largest integer size
+whose a still fits, the inverse of a in n, is read off next to it.
+
 Note the small-kappa limit: as kappa decreases to the lower endpoint the
 canonical root tends to sqrt(2*(n-1)/(n+1)), not to zero.  Below that
 endpoint the quadratic briefly admits two positive roots; this module
@@ -235,6 +239,86 @@ def _quadratic(nf: float, kappa: float) -> tuple[float, float, float]:
     # rounding instead of an error of ulp(n)
     g = r * ((nf - 1) / (nf - 3)) * (1.0 - (nf - 1) * (kappa - 1.0))
     return g, r, math.sqrt(r * r - g)
+
+
+def _a(n: float, kappa: float) -> float:
+    """The a of :func:`solve_extreme_point`, bit for bit, at a checked n."""
+    return math.sqrt(_solve(n, kappa)[2])  # item 2 is a**2
+
+
+def _a_inside(n: int, kappa: float) -> float:
+    """:func:`_a` unchecked, for a kappa strictly inside the rounded range at
+    n: there _solve returns r + s, so this is _a bit for bit."""
+    _, r, s = _quadratic(float(n), kappa)
+    return math.sqrt(r + s)
+
+
+def _crossing(tail_factor: float, kappa: float) -> float:
+    """Real n at which a(n, kappa) = tail_factor, in floats.
+
+    With m = n - 1 and A = tail_factor**2, the quadratic (*) solved for n is
+    the cubic
+
+        (kappa-1)*m**3 - (A-1)**2*m**2 - 4*A*m + 4*A**2 = 0,
+
+    and the crossing is its largest root.  Divided by kappa - 1 it reads
+    m**3 - P*m**2 - Q*m + S.  At the root m*(m - P) = Q - S/m < Q, so
+    P + Q/P lies above it; for a root m >= 4 the cubic is convex from the
+    root on, so Newton steps from there descend to it monotonically and
+    stop when rounding no longer lets them descend.
+    """
+    big_a = tail_factor * tail_factor
+    p = (big_a - 1.0) * (big_a - 1.0) / (kappa - 1.0)  # ** 2 would raise on overflow
+    q = 4.0 * big_a / (kappa - 1.0)
+    s = big_a * q
+    m = p + q / p if p else 0.0  # p is 0 only within 1.5e-8 of 1, below every a(n)
+    while True:
+        d = (3.0 * m - 2.0 * p) * m - q  # slope; 0 only past a root-free minimum
+        m_next = m - (((m - p) * m - q) * m + s) / d if d > 0.0 else m
+        if not m_next < m:
+            return m + 1.0
+        m = m_next
+
+
+def _max_safe_size(tail_factor: float, kappa: float, top: int) -> int | None:
+    """Largest size n <= top with a(n, kappa) <= tail_factor, the inverse of a
+    in n, for a finite tail_factor > 0, a finite kappa > 1 and a top >= 5.
+
+    a grows with n, and the real crossing lies within a step of the first
+    breach.  So one walk from the integer below it, clamped between 5 and
+    top, settles the answer: up to the first breach or down to the last safe
+    size, each size evaluated at most once.  None when a(top) still fits, 0
+    when a at the feasibility floor already exceeds tail_factor.
+
+    Raises:
+        DomainError: no feasible size at or below top.
+    """
+    crossing = _crossing(tail_factor, kappa)  # nan or inf once tail_factor**2 overflows
+    n = max(min(math.floor(crossing), top), 5) if math.isfinite(crossing) else top
+    # Rounded endpoints are monotone in n, so a kappa strictly inside the range
+    # at n is strictly inside at every larger size, where _a_inside is _a.
+    # Otherwise, and below n, only _a is sure.
+    k_min, k_max = _kappa_bounds(n)
+    lo = 0  # the feasibility floor, once the walk needs it
+    if k_min < kappa < k_max:
+        a = _a_inside
+    else:
+        lo = feasible_floor(kappa)
+        if lo > top:
+            raise DomainError(f"no feasible history length at or below the ceiling {top}")
+        a, n = _a, max(n, lo)
+    if a(n, kappa) <= tail_factor:  # step up to the first breach
+        while n < top:
+            n += 1
+            if a(n, kappa) > tail_factor:
+                return n - 1
+        return None
+    lo = lo or feasible_floor(kappa)  # at most n where kappa was inside the range
+    while n > lo:  # step down to the last safe size
+        n -= 1
+        if _a(n, kappa) <= tail_factor:
+            return n
+    return 0
 
 
 def asymptotic_a(n: float, kappa: float) -> float:

@@ -3,11 +3,10 @@
 A shock model that quotes a tail factor of k sigmas is only self-consistent
 if k covers the largest standardised deviation a(n, kappa) that its own
 kurtosis admits over the n-point history used to estimate sigma.  This
-module turns that comparison into verdict objects, locates the history
-length at which a given tail factor is first breached, and applies the same
-check to observed return series.
-
-Population-moment conventions follow :mod:`tailbound.extreme_point`.
+module turns that comparison into verdict objects, reports the longest
+history a given tail factor still covers, and applies the same check to
+observed return series.  a(n, kappa) and its inverse in n, with their
+population-moment conventions, live in :mod:`tailbound.extreme_point`.
 """
 
 from __future__ import annotations
@@ -17,15 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 from .errors import DegenerateDataError, DomainError, check_int, check_real
-from .extreme_point import (
-    _floats,
-    _kappa_bounds,
-    _moments,
-    _quadratic,
-    _solve,
-    feasible_floor,
-    samuelson_bound,
-)
+from .extreme_point import _a, _floats, _kappa_bounds, _max_safe_size, _moments, samuelson_bound
 
 __all__ = list(_EXPORTS["validator"])
 
@@ -52,47 +43,12 @@ class ModelVerdict(NamedTuple):
     max_safe_history: int | None
 
 
-def _required(history_n: float, kappa: float) -> float:
-    """The a of :func:`~tailbound.extreme_point.solve_extreme_point`, bit for
-    bit, at a checked history length."""
-    return math.sqrt(_solve(history_n, kappa)[2])  # item 2 is a**2
-
-
-def _crossing(tail_factor: float, kappa: float) -> float:
-    """Real n at which a(n, kappa) = tail_factor, in floats.
-
-    With m = n - 1 and A = tail_factor**2, the quadratic (*) of
-    :mod:`tailbound.extreme_point` solved for n is the cubic
-
-        (kappa-1)*m**3 - (A-1)**2*m**2 - 4*A*m + 4*A**2 = 0,
-
-    and the crossing is its largest root.  Divided by kappa - 1 it reads
-    m**3 - P*m**2 - Q*m + S.  At the root m*(m - P) = Q - S/m < Q, so
-    P + Q/P lies above it; for a root m >= 4 the cubic is convex from the
-    root on, so Newton steps from there descend to it monotonically and
-    stop when rounding no longer lets them descend.
-    """
-    big_a = tail_factor * tail_factor
-    p = (big_a - 1.0) * (big_a - 1.0) / (kappa - 1.0)  # ** 2 would raise on overflow
-    q = 4.0 * big_a / (kappa - 1.0)
-    s = big_a * q
-    m = p + q / p if p else 0.0  # p is 0 only within 1.5e-8 of 1, below every a(n)
-    while True:
-        d = (3.0 * m - 2.0 * p) * m - q  # slope; 0 only past a root-free minimum
-        m_next = m - (((m - p) * m - q) * m + s) / d if d > 0.0 else m
-        if not m_next < m:
-            return m + 1.0
-        m = m_next
-
-
 def max_safe_history(tail_factor: float, kappa: float) -> int | None:
     """Largest history length n whose bound still fits under tail_factor.
 
-    The extreme deviation a(n, kappa) grows with n.  Inverting its closed
-    form (a cubic in n) gives the real crossing, within a step of the first
-    breach.  So a(n) at the integers around it, clamped between the
-    feasibility floor and DEFAULT_HISTORY_CEILING, settle the answer without
-    a search.
+    The extreme deviation a(n, kappa) grows with n, and the answer is its
+    inverse in n (see :mod:`tailbound.extreme_point`), capped at
+    DEFAULT_HISTORY_CEILING.
 
     Returns None when a(DEFAULT_HISTORY_CEILING, kappa) <= tail_factor and 0
     when even the smallest feasible history violates.
@@ -104,52 +60,7 @@ def max_safe_history(tail_factor: float, kappa: float) -> int | None:
     """
     check_real(tail_factor, "tail factor", above=0.0)
     check_real(kappa, "kurtosis", above=1.0)
-    return _max_safe_history(tail_factor, kappa)
-
-
-def _a(n: int, kappa: float) -> float:
-    """a(n, kappa) for a kappa strictly inside the feasible range at n: the
-    value _required gives there, bit for bit."""
-    _, r, s = _quadratic(float(n), kappa)
-    return math.sqrt(r + s)
-
-
-def _max_safe_history(tail_factor: float, kappa: float) -> int | None:
-    """:func:`max_safe_history` at checked arguments."""
-    top = DEFAULT_HISTORY_CEILING
-    crossing = _crossing(tail_factor, kappa)  # nan or inf once tail_factor**2 overflows
-    n = min(math.floor(crossing), top) if math.isfinite(crossing) else top
-    # The guard picks the evaluator.  With n <= 10**9, every size from n - 1
-    # up is exact, and:
-    # - fl(n - 1) > fl(kappa + 2) gives kappa < n - 3 exactly, and n - 2 is
-    #   a float below kappa_max(n) = n - 2 + 1/(n - 1), so kappa is below the
-    #   rounded kappa_max(n): no Samuelson endpoint at n;
-    # - fl((n - 1)*(kappa - 1)) > 2 gives kappa > 2 or, with kappa - 1 exact,
-    #   kappa - 1 > 2/(n - 1) > 1/(n - 1) + 2**-53, the most by which the
-    #   rounded kappa_min(n) = 1 + 1/(n - 1) can exceed the exact one.
-    # Both conditions hold at every larger size too, so kappa lies strictly
-    # inside the rounded range from n up to the ceiling, n > 4 is at or above
-    # the floor, and _a is _required there.  Below n, only _required is sure.
-    lo = 0  # the feasibility floor, once the walk needs it
-    if n - 1 > kappa + 2.0 and (n - 1) * (kappa - 1.0) > 2.0:
-        a = _a
-    else:
-        lo = feasible_floor(kappa)
-        if lo > top:
-            raise DomainError(f"no feasible history length at or below the ceiling {top}")
-        a, n = _required, max(n, lo)
-    if a(n, kappa) <= tail_factor:  # step up to the first breach
-        while n < top:
-            n += 1
-            if a(n, kappa) > tail_factor:
-                return n - 1
-        return None
-    lo = lo or feasible_floor(kappa)  # at most n where the guard held
-    while n > lo:  # step down to the last safe length
-        n -= 1
-        if _required(n, kappa) <= tail_factor:
-            return n
-    return 0
+    return _max_safe_size(tail_factor, kappa, DEFAULT_HISTORY_CEILING)
 
 
 def _verdict(tail_factor: float, history_n: int, kappa: float, required: float,
@@ -177,8 +88,8 @@ def validate_model(tail_factor: float, history_n: int, kappa: float) -> ModelVer
     if isinstance(history_n, float) and not history_n.is_integer():
         raise DomainError(f"history length must be a whole number, got {history_n!r}")
     # kappa is inside the range at history_n, so it is a finite number above 1
-    return _verdict(tail_factor, history_n, kappa, _required(history_n, kappa),
-                    _max_safe_history(tail_factor, kappa))
+    return _verdict(tail_factor, history_n, kappa, _a(history_n, kappa),
+                    _max_safe_size(tail_factor, kappa, DEFAULT_HISTORY_CEILING))
 
 
 class ReturnSeries(NamedTuple):

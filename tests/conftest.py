@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 settings.register_profile(
     "tailbound",
     deadline=None,
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("tailbound")

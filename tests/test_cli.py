@@ -329,6 +329,14 @@ def test_validate_blr_flag_misuse(run_cli):
     assert res.returncode == 1
     assert "--tail-factor" in res.stderr
 
+    # without --blr neither is read, so a plain PASS would ignore what was asked
+    for flag, value in (("--g-inv", "6m"), ("--days-per-year", 7)):
+        res = run_cli("validate", "--tail-factor", 9, "--kurtosis", 7, "--history", 1000,
+                      flag, value)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert f"{flag} applies to --blr only" in res.stderr
+
 
 @pytest.mark.parametrize("days", ["0", "-250"])
 def test_days_per_year_must_be_positive(days, capsys):

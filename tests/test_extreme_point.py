@@ -677,8 +677,10 @@ def _outcome(call, *args):
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _ANY_MAGNITUDE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    # every binade from the smallest subnormal's to the largest
-    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1024)),
+    # every binade from the smallest subnormal's to the largest; a mantissa of
+    # magnitude 1 at exponent 1024 overflows, and the sampled list has +-1.0
+    st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              st.integers(-1074, 1024)),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, _BELOW_ONE, -_BELOW_ONE]),
 )
 

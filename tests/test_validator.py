@@ -24,7 +24,6 @@ from tailbound import (
     max_safe_history,
     solve_extreme_point,
     validate_model,
-    validator,
 )
 from tailbound.errors import check_real
 
@@ -99,13 +98,13 @@ def _bisection_reference(tail, kappa):
 
 def _count_evaluations(monkeypatch) -> list[float]:
     """The list that every evaluation of a(n) appends its n to from now on:
-    each goes through one _quadratic, in validator or in _solve."""
+    each goes through one extreme_point._quadratic."""
     calls = []
-    for module in (validator, extreme_point):
-        def counted(nf, kappa, formula=module._quadratic):
-            calls.append(nf)
-            return formula(nf, kappa)
-        monkeypatch.setattr(module, "_quadratic", counted)
+
+    def counted(nf, kappa, formula=extreme_point._quadratic):
+        calls.append(nf)
+        return formula(nf, kappa)
+    monkeypatch.setattr(extreme_point, "_quadratic", counted)
     return calls
 
 
@@ -198,8 +197,8 @@ def _ulps(x, k):
 @st.composite
 def _history_questions(draw):
     """(tail factor, kappa) around the decision at the crossing: tail factors
-    within ulps of a(n), and kappas at both ends of the range and at each edge
-    of its guard."""
+    within ulps of a(n), and kappas at both ends of the range and near n - 3
+    and 1 + 2/(n - 1), where a float bound on the range would turn."""
     kind = draw(st.sampled_from(["at-a", "random", "hostile"]))
     if kind == "hostile":
         return (draw(st.sampled_from([0.0, -1.0, math.nan, math.inf, 5e-324, 1.7e308, 3.0])),
@@ -213,7 +212,7 @@ def _history_questions(draw):
     kappa = _ulps(draw(st.sampled_from([
         k_max, k_max - 1.0, k_min, k_min + draw(st.floats(0.0, 1.0)) * (k_max - k_min),
         feasible_kurtosis_range(max(n - 1, 5)).kappa_min,  # infeasible one size down
-        float(n - 3), 1.0 + 2.0 / (n - 1),  # the guard's two edges at n
+        float(n - 3), 1.0 + 2.0 / (n - 1),  # a float bound's two edges at n
     ])), draw(st.integers(-2, 2)))
     assume(kappa in feasible_kurtosis_range(n))
     return _ulps(solve_extreme_point(n, kappa).a, draw(st.integers(-2, 2))), kappa
@@ -242,10 +241,46 @@ def test_max_safe_history_decides_typical_inputs_at_the_crossing(kappa):
     floors = []
     with pytest.MonkeyPatch.context() as m:
         evaluations = _count_evaluations(m)
-        m.setattr(validator, "feasible_floor", lambda k: floors.append(k) or feasible_floor(k))
+        m.setattr(extreme_point, "feasible_floor",
+                  lambda k: floors.append(k) or feasible_floor(k))
         n = max_safe_history(tail, kappa)
     assert floors == [] and len(evaluations) == 2
     assert n == _bisection_reference(tail, kappa)
+
+
+@st.composite
+def _endpoint_questions(draw):
+    """(tail factor, kappa) with kappa within 2 ulps of a rounded endpoint of
+    the range at some n, and a crossing near n or below 5."""
+    n = draw(st.one_of(st.integers(5, 100), st.integers(5, DEFAULT_HISTORY_CEILING)))
+    kappa = _ulps(feasible_kurtosis_range(n)[draw(st.sampled_from([1, 2]))],
+                  draw(st.integers(-2, 2)))
+    if draw(st.booleans()):  # a(5) is at least sqrt(4/3), so 1.1 crosses below 5
+        return draw(st.floats(0.5, 1.1)), kappa
+    size = max(feasible_floor(kappa), n + draw(st.integers(-2, 2)))
+    return _ulps(solve_extreme_point(size, kappa).a, draw(st.integers(-2, 2))), kappa
+
+
+@settings(max_examples=500)
+@given(_endpoint_questions())
+def test_max_safe_history_inside_the_range_needs_no_floor(question):
+    # kappa strictly inside the rounded range at the crossing stays inside at
+    # every larger size, so a walk up from there never computes the floor
+    tail, kappa = question
+    floors = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(extreme_point, "feasible_floor",
+                  lambda k: floors.append(k) or feasible_floor(k))
+        try:
+            n = max_safe_history(tail, kappa)
+        except DomainError:
+            assert feasible_floor(kappa) > DEFAULT_HISTORY_CEILING
+            return
+    assert n == _bisection_reference(tail, kappa)
+    start = min(math.floor(extreme_point._crossing(tail, kappa)), DEFAULT_HISTORY_CEILING)
+    k_min, k_max = feasible_kurtosis_range(max(start, 5))[1:]
+    if start >= 5 and k_min < kappa < k_max and (n is None or n >= start):
+        assert floors == []
 
 
 def test_max_safe_history_rejects_non_finite_tail_factor():
